@@ -5,6 +5,7 @@
 package weakstab_test
 
 import (
+	"context"
 	"io"
 	"math/rand"
 	"testing"
@@ -109,7 +110,7 @@ func BenchmarkMarkovHittingTimes(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ts, err := statespace.Build(alg, scheduler.CentralPolicy{}, statespace.Options{})
+		ts, err := statespace.BuildContext(context.Background(), alg, scheduler.CentralPolicy{}, statespace.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -132,7 +133,7 @@ func BenchmarkMarkovSolve(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ts, err := statespace.Build(alg, scheduler.CentralPolicy{}, statespace.Options{})
+	ts, err := statespace.BuildContext(context.Background(), alg, scheduler.CentralPolicy{}, statespace.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -304,7 +305,7 @@ func benchSpaceWith(b *testing.B, build func() (protocol.Algorithm, error), expl
 
 func benchSpace(b *testing.B, build func() (protocol.Algorithm, error), pol scheduler.Policy, workers int) {
 	benchSpaceWith(b, build, func(alg protocol.Algorithm) (*statespace.Space, error) {
-		return statespace.Build(alg, pol, statespace.Options{Workers: workers})
+		return statespace.BuildContext(context.Background(), alg, pol, statespace.Options{Workers: workers})
 	})
 }
 
@@ -392,7 +393,7 @@ func benchFrontierBall(b *testing.B, build func() (protocol.Algorithm, error), p
 		if err != nil {
 			b.Fatal(err)
 		}
-		ss, err := statespace.BuildFrom(alg, pol, globals, statespace.Options{})
+		ss, err := statespace.BuildFromContext(context.Background(), alg, pol, globals, statespace.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -427,7 +428,7 @@ func BenchmarkExploreFrontierFullSpace(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sp, err := statespace.Build(alg, scheduler.CentralPolicy{}, statespace.Options{MaxStates: statespace.IndexLimit})
+		sp, err := statespace.BuildContext(context.Background(), alg, scheduler.CentralPolicy{}, statespace.Options{MaxStates: statespace.IndexLimit})
 		if err != nil {
 			b.Fatal(err)
 		}

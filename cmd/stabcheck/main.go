@@ -202,7 +202,7 @@ func run(args []string, out io.Writer) error {
 			// The text report renders inside the job, while the explored
 			// system is still open — -witness and -lasso walk it without
 			// a second exploration.
-			deps.Inspect = func(resp *service.Response, ts statespace.TransitionSystem) {
+			deps.Inspect = func(resp *service.Response, ts *statespace.Space) {
 				if resp.MC != nil {
 					printMC(out, resp)
 					return
@@ -242,7 +242,7 @@ func run(args []string, out io.Writer) error {
 // document. It runs inside the job (service.Deps.Inspect) while the
 // explored system is still open, which is what lets -witness and -lasso
 // walk the space without a second exploration.
-func printReport(out io.Writer, resp *service.Response, ts statespace.TransitionSystem, witness, lasso bool) {
+func printReport(out io.Writer, resp *service.Response, ts *statespace.Space, witness, lasso bool) {
 	rep := resp.CoreReport
 	fmt.Fprint(out, rep)
 	if rep.FairLassoFound {

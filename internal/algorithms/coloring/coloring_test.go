@@ -1,6 +1,7 @@
 package coloring
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -162,7 +163,7 @@ func TestTransformedConvergesSynchronously(t *testing.T) {
 	g, err := graph.Ring(4)
 	a := mustNew(t, g, err)
 	trans := transformer.New(a)
-	ts, err := statespace.Build(trans, scheduler.SynchronousPolicy{}, statespace.Options{})
+	ts, err := statespace.BuildContext(context.Background(), trans, scheduler.SynchronousPolicy{}, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

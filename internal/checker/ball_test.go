@@ -1,6 +1,6 @@
 package checker
 
-// Acceptance pin: the ball-seeded frontier path (FaultBall + BuildFrom +
+// Acceptance pin: the ball-seeded frontier path (FaultBall + BuildFromContext +
 // BallVerdicts) must reproduce the full-space k-fault classification
 // bit-for-bit — same ball sizes, same possible/certain verdicts, same
 // counterexample configuration — while exploring only the ball's forward

@@ -8,6 +8,7 @@ package checker
 // second enumeration or closure exploration cannot hide.
 
 import (
+	"context"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -58,7 +59,7 @@ func TestBallPipelineExploresOnce(t *testing.T) {
 	total := enc.Total()
 
 	const k = 1
-	ss, globals, ballDist, err := BallClosure(a, pol, k, statespace.Options{})
+	ss, globals, ballDist, err := BallClosureWithContext(context.Background(), Sources{}, a, pol, k, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,10 +68,10 @@ func TestBallPipelineExploresOnce(t *testing.T) {
 	wantLegit := total + states // one full-range scan + one per explored state
 	wantEnabled := n * states   // n guard evaluations per explored state
 	if got := a.legit.Load(); got != wantLegit {
-		t.Errorf("BallClosure made %d Legitimate calls, want exactly %d (one scan + one per closure state): ball or closure explored more than once", got, wantLegit)
+		t.Errorf("BallClosureWithContext made %d Legitimate calls, want exactly %d (one scan + one per closure state): ball or closure explored more than once", got, wantLegit)
 	}
 	if got := a.enabled.Load(); got != wantEnabled {
-		t.Errorf("BallClosure made %d EnabledAction calls, want exactly %d (n per closure state): closure explored more than once", got, wantEnabled)
+		t.Errorf("BallClosureWithContext made %d EnabledAction calls, want exactly %d (n per closure state): closure explored more than once", got, wantEnabled)
 	}
 
 	// The verdict scans run over the already-built subspace: zero

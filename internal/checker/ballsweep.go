@@ -9,8 +9,9 @@ package checker
 // SweepKFaults drives the walk upward — sealing a canonical subspace and
 // classifying the k-fault verdict at every radius, stopping early at the
 // smallest k that breaks convergence when asked. Every sealed snapshot is
-// bit-identical to the from-scratch FaultBall/BallClosure at that k
-// (pinned by the parity tests), so incremental is purely a cost saving.
+// bit-identical to the from-scratch FaultBall/BallClosureWithContext at
+// that k (pinned by the parity tests), so incremental is purely a cost
+// saving.
 //
 // Sources injects the on-disk persistence (internal/spacecache) without a
 // package dependency: the ball enumeration persists under an (instance, k)
@@ -68,7 +69,7 @@ func newBallGrower(ctx context.Context, a protocol.Algorithm, workers int, maxSt
 		return nil, err
 	}
 	// Inclusive cap: a legitimate set of exactly maxStates is admitted,
-	// matching the seed admission of statespace.BuildFrom.
+	// matching the seed admission of statespace.BuildFromContext.
 	if int64(b.ball.Len()) > b.maxStates {
 		return nil, fmt.Errorf("checker: legitimate set of %d configurations exceeds the %d-state cap", b.ball.Len(), b.maxStates)
 	}
@@ -247,9 +248,9 @@ func (b *ballGrower) sorted() ([]int64, []int) {
 // closure, both grown incrementally. Grow extends the ball by one mutation
 // shell; Seal explores exactly the closure states not yet discovered and
 // snapshots a canonical subspace plus the sorted ball — bit-identical to
-// the from-scratch FaultBall + BallClosure at the current radius. A k+1
-// sweep therefore extends the k ball and its subspace instead of
-// restarting.
+// the from-scratch FaultBall + BallClosureWithContext at the current
+// radius. A k+1 sweep therefore extends the k ball and its subspace instead
+// of restarting.
 type BallSweep struct {
 	a       protocol.Algorithm
 	pol     scheduler.Policy
@@ -261,8 +262,8 @@ type BallSweep struct {
 // NewBallSweep returns the radius-0 sweep: the ball is the legitimate set
 // itself, enumerated in closed form when a implements
 // protocol.LegitEnumerator and by a legitimacy scan otherwise. opt has
-// BallClosure's semantics (MaxStates caps ball and closure alike; results
-// are independent of Workers).
+// BallClosureWithContext's semantics (MaxStates caps ball and closure
+// alike; results are independent of Workers).
 func NewBallSweep(a protocol.Algorithm, pol scheduler.Policy, opt statespace.Options) (*BallSweep, error) {
 	return NewBallSweepContext(context.Background(), a, pol, opt)
 }
@@ -282,7 +283,7 @@ func NewBallSweepContext(ctx context.Context, a protocol.Algorithm, pol schedule
 // returns them) and, optionally, its sealed closure subspace — the
 // warm-cache resume path. ss may be nil: the closure is then explored from
 // the ball at the next Seal. ss is deep-copied, never aliased or mutated.
-func ResumeBallSweep(a protocol.Algorithm, pol scheduler.Policy, k int, globals []int64, dist []int, ss *statespace.SubSpace, opt statespace.Options) (*BallSweep, error) {
+func ResumeBallSweep(a protocol.Algorithm, pol scheduler.Policy, k int, globals []int64, dist []int, ss *statespace.Space, opt statespace.Options) (*BallSweep, error) {
 	if len(globals) != len(dist) {
 		return nil, fmt.Errorf("checker: ball of %d globals with %d distances", len(globals), len(dist))
 	}
@@ -319,17 +320,18 @@ func (s *BallSweep) GrowToContext(ctx context.Context, k int) error { return s.b
 // Seal explores the forward closure of every ball configuration not yet
 // explored and returns a canonical snapshot: the closure subspace plus the
 // ball's globals and exact fault distances in ascending-global order —
-// exactly what BallClosure returns from scratch, at the incremental cost
-// of the new states only. The snapshot is independent of the sweep: Grow
-// and Seal again freely. An empty ball (empty legitimate set) seals to a
-// nil subspace with empty globals, mirroring BallClosure.
-func (s *BallSweep) Seal() (*statespace.SubSpace, []int64, []int, error) {
+// exactly what BallClosureWithContext returns from scratch, at the
+// incremental cost of the new states only. The snapshot is independent of
+// the sweep: Grow and Seal again freely. An empty ball (empty legitimate
+// set) seals to a nil subspace with empty globals, mirroring
+// BallClosureWithContext.
+func (s *BallSweep) Seal() (*statespace.Space, []int64, []int, error) {
 	return s.SealContext(context.Background())
 }
 
 // SealContext is Seal with cooperative cancellation of the closure
 // exploration, checked at every BFS shell boundary.
-func (s *BallSweep) SealContext(ctx context.Context) (*statespace.SubSpace, []int64, []int, error) {
+func (s *BallSweep) SealContext(ctx context.Context) (*statespace.Space, []int64, []int, error) {
 	globals, dist := s.ball.sorted()
 	if len(globals) == 0 {
 		return nil, globals, dist, nil
@@ -341,7 +343,7 @@ func (s *BallSweep) SealContext(ctx context.Context) (*statespace.SubSpace, []in
 		}
 		s.builder = b
 	}
-	// Extend with the whole ball: already-discovered members are dedup
+	// Extend by the whole ball: already-discovered members are dedup
 	// no-ops, so only genuinely new states are explored.
 	if err := s.builder.ExtendContext(ctx, globals); err != nil {
 		return nil, nil, nil, fmt.Errorf("checker: %w", err)
@@ -362,8 +364,8 @@ type BallStore interface {
 // (instance, policy, seed set) key — the shape of spacecache.Cache's
 // LoadSubSpace/StoreSubSpace.
 type SubSpaceStore interface {
-	LoadSubSpace(a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (*statespace.SubSpace, bool)
-	StoreSubSpace(ss *statespace.SubSpace, seeds []int64) error
+	LoadSubSpace(a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (*statespace.Space, bool)
+	StoreSubSpace(ss *statespace.Space, seeds []int64) error
 }
 
 // Sources injects the optional on-disk persistence into the ball
@@ -371,40 +373,33 @@ type SubSpaceStore interface {
 // and explored in process.
 type Sources struct {
 	// Build explores the forward closure of a seed set (nil means
-	// statespace.BuildFrom). A cache's load-or-build satisfies it.
+	// statespace.BuildFromContext). A cache's load-or-build satisfies it.
 	Build SubSpaceBuilder
 	// Balls persists ball enumerations under (instance, k) keys.
 	Balls BallStore
-	// Subs loads and persists sealed closure subspaces; SweepKFaults uses
+	// Subs loads and persists sealed closure spaces; SweepKFaults uses
 	// it to make warm sweeps exploration-free.
 	Subs SubSpaceStore
 }
 
-// build resolves the closure builder, defaulting to
-// statespace.BuildFromContext.
-func (src Sources) build() SubSpaceBuilder {
-	if src.Build != nil {
-		return src.Build
-	}
-	return func(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (*statespace.SubSpace, error) {
-		return statespace.BuildFromContext(ctx, a, pol, seeds, opt)
-	}
-}
-
-// BallClosureWith is BallClosure with both persistence hooks injected: a
-// ball cached under the (instance, k) key skips the seed enumeration
+// BallClosureWithContext enumerates the distance-≤k fault ball
+// (FaultBallContext) and frontier-explores its forward closure — exactly
+// once each. It returns the closure together with the ball's global
+// indexes and exact fault distances, so one exploration can feed both a
+// full classification report (core.AnalyzeSpaceContext over the closure)
+// and the per-k verdicts (BallVerdictsOver). When the legitimate set is
+// empty there is nothing to explore: the closure is nil and globals is
+// empty, with no error.
+//
+// src injects persistence (the zero Sources runs everything in process):
+// a ball cached under the (instance, k) key skips the seed enumeration
 // entirely (no legitimacy scan, no mutation BFS), and the closure then
 // loads or builds through src.Build. On a fully warm cache the pipeline
-// runs zero algorithm callbacks of any kind.
-func BallClosureWith(src Sources, a protocol.Algorithm, pol scheduler.Policy, k int, opt statespace.Options) (*statespace.SubSpace, []int64, []int, error) {
-	return BallClosureWithContext(context.Background(), src, a, pol, k, opt)
-}
-
-// BallClosureWithContext is BallClosureWith with cooperative cancellation
-// of both stages: the ball enumeration checks ctx per mutation shell and
-// the closure exploration per BFS shell. A cancelled pipeline stores
-// nothing (the injected stores only see completed artifacts).
-func BallClosureWithContext(ctx context.Context, src Sources, a protocol.Algorithm, pol scheduler.Policy, k int, opt statespace.Options) (*statespace.SubSpace, []int64, []int, error) {
+// runs zero algorithm callbacks of any kind. ctx cancels both stages —
+// the ball enumeration per mutation shell, the closure exploration per
+// BFS shell — and a cancelled pipeline stores nothing (the injected
+// stores only see completed artifacts).
+func BallClosureWithContext(ctx context.Context, src Sources, a protocol.Algorithm, pol scheduler.Policy, k int, opt statespace.Options) (*statespace.Space, []int64, []int, error) {
 	globals, ballDist, ok := []int64(nil), []int(nil), false
 	if src.Balls != nil {
 		globals, ballDist, ok = src.Balls.LoadBall(a, k, statespace.StateCap(opt.MaxStates))
@@ -422,7 +417,11 @@ func BallClosureWithContext(ctx context.Context, src Sources, a protocol.Algorit
 	if len(globals) == 0 {
 		return nil, globals, ballDist, nil
 	}
-	ss, err := src.build()(ctx, a, pol, globals, opt)
+	build := src.Build
+	if build == nil {
+		build = statespace.BuildFromContext
+	}
+	ss, err := build(ctx, a, pol, globals, opt)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("checker: %w", err)
 	}
@@ -434,7 +433,7 @@ func BallClosureWithContext(ctx context.Context, src Sources, a protocol.Algorit
 // an incremental sweep (BallVerdictsOver computes the whole 0..k range
 // when a caller wants them all from one subspace). A nil subspace yields
 // the vacuous verdict.
-func BallVerdictAt(ss *statespace.SubSpace, localDist []int, k int) KFaultVerdict {
+func BallVerdictAt(ss *statespace.Space, localDist []int, k int) KFaultVerdict {
 	if ss == nil {
 		return KFaultVerdict{K: k, Possible: true, Certain: true}
 	}
@@ -464,7 +463,7 @@ type SweepResult struct {
 	// legitimate set is empty), with Globals/Dist the matching ball. When
 	// the last radius was served from a warm cache, Sub may own a zero-copy
 	// file mapping — Close it when done (a no-op otherwise).
-	Sub     *statespace.SubSpace
+	Sub     *statespace.Space
 	Globals []int64
 	Dist    []int
 }
@@ -499,13 +498,11 @@ func SweepKFaultsContext(ctx context.Context, src Sources, a protocol.Algorithm,
 	var sweep *BallSweep
 	for k := 0; k <= kmax; k++ {
 		if err := ctx.Err(); err != nil {
-			if res.Sub != nil {
-				res.Sub.Close()
-			}
+			res.Sub.Close()
 			return nil, fmt.Errorf("checker: sweep canceled at radius %d: %w", k, err)
 		}
 		var (
-			ss      *statespace.SubSpace
+			ss      *statespace.Space
 			globals []int64
 			dist    []int
 			hit     bool
@@ -588,7 +585,7 @@ func SweepKFaultsContext(ctx context.Context, src Sources, a protocol.Algorithm,
 				CacheHit: hit,
 			})
 		}
-		if res.Sub != nil && res.Sub != ss {
+		if res.Sub != ss {
 			// A warm-loaded subspace may own a zero-copy mapping; release it
 			// once the walk has extended past its radius (ResumeBallSweep
 			// deep-copied whatever it needed).
@@ -615,11 +612,15 @@ func SweepKFaultsContext(ctx context.Context, src Sources, a protocol.Algorithm,
 // through. The parameter is structural, so this package stays independent
 // of the cache layer.
 func CacheSources(c interface {
-	BuildSubSpaceContext(context.Context, protocol.Algorithm, scheduler.Policy, []int64, statespace.Options) (*statespace.SubSpace, bool, error)
+	BuildSubSpaceContext(context.Context, protocol.Algorithm, scheduler.Policy, []int64, statespace.Options) (*statespace.Space, bool, error)
 	LoadBall(a protocol.Algorithm, k int, maxStates int64) ([]int64, []int, bool)
 	StoreBall(a protocol.Algorithm, k int, globals []int64, dist []int) error
-	LoadSubSpace(a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (*statespace.SubSpace, bool)
-	StoreSubSpace(ss *statespace.SubSpace, seeds []int64) error
+	LoadSubSpace(a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (*statespace.Space, bool)
+	StoreSubSpace(ss *statespace.Space, seeds []int64) error
 }) Sources {
-	return Sources{Build: BuilderFromCache(c), Balls: c, Subs: c}
+	build := func(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (*statespace.Space, error) {
+		ss, _, err := c.BuildSubSpaceContext(ctx, a, pol, seeds, opt)
+		return ss, err
+	}
+	return Sources{Build: build, Balls: c, Subs: c}
 }

@@ -9,6 +9,7 @@ package checker
 // exploration total, zero callbacks on a warm cache.
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -111,7 +112,7 @@ func intsEqual(a, b []int) bool {
 
 // subSpacesEqual compares every persisted array of two subspaces —
 // bit-equality of the canonical form.
-func subSpacesEqual(t *testing.T, a, b *statespace.SubSpace) bool {
+func subSpacesEqual(t *testing.T, a, b *statespace.Space) bool {
 	t.Helper()
 	if (a == nil) != (b == nil) {
 		return false
@@ -130,7 +131,7 @@ func subSpacesEqual(t *testing.T, a, b *statespace.SubSpace) bool {
 		}
 	}
 	for s := 0; s < a.NumStates(); s++ {
-		if a.IsLegit(s) != b.IsLegit(s) {
+		if a.Legit[s] != b.Legit[s] {
 			return false
 		}
 	}
@@ -162,8 +163,8 @@ func TestFaultBallEnumeratorMatchesScan(t *testing.T) {
 // TestBallSweepIncrementalParity pins the tentpole bit-equality: growing
 // one BallSweep through k = 0..K and sealing at every radius yields, at
 // each k, exactly the globals, distances and subspace arrays of a
-// from-scratch FaultBall + BallClosure at that k — for every policy and
-// across worker counts.
+// from-scratch FaultBall + BallClosureWithContext at that k — for every
+// policy and across worker counts.
 func TestBallSweepIncrementalParity(t *testing.T) {
 	const kmax = 2
 	ring, err := tokenring.New(5)
@@ -192,7 +193,7 @@ func TestBallSweepIncrementalParity(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					refSS, refG, refD, err := BallClosure(a, pol, k, opt)
+					refSS, refG, refD, err := BallClosureWithContext(context.Background(), Sources{}, a, pol, k, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -221,15 +222,15 @@ func TestResumeBallSweepParity(t *testing.T) {
 	pol := scheduler.DistributedPolicy{}
 	opt := statespace.Options{}
 	const k = 1
-	ss, globals, dist, err := BallClosure(ring, pol, k, opt)
+	ss, globals, dist, err := BallClosureWithContext(context.Background(), Sources{}, ring, pol, k, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refSS, refG, refD, err := BallClosure(ring, pol, k+1, opt)
+	refSS, refG, refD, err := BallClosureWithContext(context.Background(), Sources{}, ring, pol, k+1, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, base := range []*statespace.SubSpace{ss, nil} {
+	for _, base := range []*statespace.Space{ss, nil} {
 		sweep, err := ResumeBallSweep(ring, pol, k, globals, dist, base, opt)
 		if err != nil {
 			t.Fatal(err)

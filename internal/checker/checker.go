@@ -13,17 +13,18 @@
 //     configurations that activates every process it ever enables — an
 //     infinite strongly fair execution that never converges.
 //
-// Every check is subspace-native: the checker runs over any
-// statespace.TransitionSystem, so the same passes decide the properties of
-// a full index-range Space and of a frontier-explored SubSpace (where the
-// properties quantify over the reachable states only — sound for any
-// forward-closed region, e.g. the k-fault ball's closure).
+// Every check runs over a statespace.Space, full or frontier-explored, so
+// the same passes decide the properties of the whole index range and of a
+// forward-closed region such as the k-fault ball's closure (where the
+// properties quantify over the explored states only — sound because the
+// region is closed under successors).
 //
 // Verdicts carry machine-checkable witnesses (paths and lassos) that the
 // experiments and the stabcheck CLI print.
 package checker
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -33,12 +34,12 @@ import (
 )
 
 // Space is the checker's view of an explored transition system. It embeds
-// the shared statespace engine's analysis interface, consuming only the
-// unweighted successor rows; the same underlying system can simultaneously
-// feed the Markov analysis through its weighted view (markov.FromSpace),
-// so the configuration space is enumerated exactly once per analysis.
+// the shared statespace engine's Space, consuming only the unweighted
+// successor rows; the same underlying system can simultaneously feed the
+// Markov analysis through its weighted view (markov.FromSpace), so the
+// configuration space is enumerated exactly once per analysis.
 type Space struct {
-	statespace.TransitionSystem
+	*statespace.Space
 }
 
 // Explore enumerates every configuration and its successors under every
@@ -51,17 +52,16 @@ func Explore(a protocol.Algorithm, pol scheduler.Policy, maxStates int64) (*Spac
 
 // ExploreWith is Explore with an explicit worker-pool size (0 = NumCPU).
 func ExploreWith(a protocol.Algorithm, pol scheduler.Policy, maxStates int64, workers int) (*Space, error) {
-	ts, err := statespace.Build(a, pol, statespace.Options{MaxStates: maxStates, Workers: workers})
+	sp, err := statespace.BuildContext(context.Background(), a, pol, statespace.Options{MaxStates: maxStates, Workers: workers})
 	if err != nil {
 		return nil, fmt.Errorf("checker: %w", err)
 	}
-	return &Space{ts}, nil
+	return &Space{sp}, nil
 }
 
-// FromSpace wraps an already-built transition system — a full
-// statespace.Space or a frontier-explored statespace.SubSpace — in the
-// checker view.
-func FromSpace(ts statespace.TransitionSystem) *Space { return &Space{ts} }
+// FromSpace wraps an already-built transition system, full or
+// frontier-explored, in the checker view.
+func FromSpace(sp *statespace.Space) *Space { return &Space{sp} }
 
 // ClosureResult reports on the strong closure property.
 type ClosureResult struct {
@@ -73,7 +73,7 @@ type ClosureResult struct {
 // CheckClosure verifies strong closure: every successor of a legitimate
 // state is legitimate.
 func (sp *Space) CheckClosure() ClosureResult {
-	legit := sp.LegitSet()
+	legit := sp.Legit
 	for s := range legit {
 		if !legit[s] {
 			continue
@@ -117,7 +117,7 @@ func (sp *Space) CheckPossibleConvergence() ConvergenceResult {
 // backward BFS from L over the system's cached reverse CSR (shared with
 // the Markov analyses of the same system).
 func (sp *Space) reverseReach() []bool {
-	dist := sp.Reverse().BackwardBFS(sp.LegitSet(), nil, sp.PoolWorkers())
+	dist := sp.Reverse().BackwardBFS(sp.Legit, nil, sp.PoolWorkers())
 	out := make([]bool, sp.NumStates())
 	for s := range out {
 		out[s] = dist[s] >= 0
@@ -130,7 +130,7 @@ func (sp *Space) reverseReach() []bool {
 // terminal configuration (deadlock outside L) or on a cycle through
 // illegitimate configurations (a diverging execution).
 func (sp *Space) CheckCertainConvergence() ConvergenceResult {
-	legit := sp.LegitSet()
+	legit := sp.Legit
 	for s := range legit {
 		if !legit[s] && sp.IsTerminal(s) {
 			return ConvergenceResult{
@@ -157,7 +157,7 @@ func (sp *Space) findIllegitimateCycle() []int {
 		gray  = 1
 		black = 2
 	)
-	legit := sp.LegitSet()
+	legit := sp.Legit
 	states := sp.NumStates()
 	color := make([]byte, states)
 	parent := make([]int32, states)
@@ -263,7 +263,7 @@ func (sp *Space) WitnessPath(from protocol.Configuration) []protocol.Configurati
 	if !ok {
 		return nil
 	}
-	legit := sp.LegitSet()
+	legit := sp.Legit
 	if legit[start] {
 		return []protocol.Configuration{from.Clone()}
 	}
@@ -308,7 +308,7 @@ func (sp *Space) WitnessPath(from protocol.Configuration) []protocol.Configurati
 // the worst state is the lowest-index state at maximal distance, and the
 // descent takes the lowest-index qualifying successor (rows are sorted).
 func (sp *Space) WorstCaseWitness() ([]protocol.Configuration, protocol.Configuration) {
-	dist := sp.Reverse().BackwardBFS(sp.LegitSet(), nil, sp.PoolWorkers())
+	dist := sp.Reverse().BackwardBFS(sp.Legit, nil, sp.PoolWorkers())
 	worst := -1
 	for s, d := range dist {
 		if d < 0 {
@@ -349,7 +349,7 @@ func (sp *Space) WorstCaseWitness() ([]protocol.Configuration, protocol.Configur
 // The distances come from the same parallel backward BFS over the cached
 // reverse CSR that decides possible convergence.
 func (sp *Space) MaxShortestConvergencePath() float64 {
-	dist := sp.Reverse().BackwardBFS(sp.LegitSet(), nil, sp.PoolWorkers())
+	dist := sp.Reverse().BackwardBFS(sp.Legit, nil, sp.PoolWorkers())
 	maxD := int32(0)
 	for _, d := range dist {
 		if d < 0 {

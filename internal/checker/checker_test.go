@@ -374,7 +374,7 @@ func TestExploreTerminalStates(t *testing.T) {
 	for s := 0; s < sp.NumStates(); s++ {
 		if sp.IsTerminal(s) {
 			terminals++
-			if !sp.IsLegit(s) {
+			if !sp.Legit[s] {
 				t.Fatalf("terminal state %v is illegitimate", sp.Config(s))
 			}
 		}

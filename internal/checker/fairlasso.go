@@ -34,12 +34,12 @@ type FairLasso struct {
 // found. Only deterministic algorithms are supported (the activation subset
 // of an edge must be recoverable).
 func (sp *Space) FindStronglyFairLasso() FairLasso {
-	det, ok := sp.Algorithm().(protocol.Deterministic)
+	det, ok := sp.Alg.(protocol.Deterministic)
 	if !ok {
 		return FairLasso{}
 	}
 	comp := sp.sccs()
-	legit := sp.LegitSet()
+	legit := sp.Legit
 	// Group states per component; iterate components in ascending id
 	// order so witnesses are deterministic across runs.
 	members := map[int32][]int32{}
@@ -65,13 +65,13 @@ func (sp *Space) FindStronglyFairLasso() FairLasso {
 	return FairLasso{}
 }
 
-// sccs returns the component id of every state in the illegitimate
-// subgraph (legitimate states get -1), through the shared statespace
-// Tarjan. On a frontier-explored SubSpace the condensation runs over the
-// reachable subgraph only — BuildFrom closes the successor relation before
-// sealing, so Tarjan sees every edge of the region it condenses.
+// sccs returns the component id of every state in the illegitimate subgraph
+// (legitimate states get -1), through the shared statespace Tarjan. On a
+// frontier-explored space the condensation runs over the reachable subgraph
+// only — BuildFromContext closes the successor relation before sealing, so
+// Tarjan sees every edge of the region it condenses.
 func (sp *Space) sccs() []int32 {
-	legit := sp.LegitSet()
+	legit := sp.Legit
 	include := make([]bool, sp.NumStates())
 	for s := range include {
 		include[s] = !legit[s]
@@ -140,7 +140,7 @@ func (sp *Space) tryComponentWalk(det protocol.Deterministic, states []int32, co
 	for i := 0; i+1 < len(walk); i++ {
 		s, t := walk[i], walk[i+1]
 		cfg := sp.Config(int(s))
-		enabled := protocol.EnabledProcesses(sp.Algorithm(), cfg)
+		enabled := protocol.EnabledProcesses(sp.Alg, cfg)
 		chosen := sp.findSubset(det, cfg, enabled, t)
 		if chosen == nil {
 			return FairLasso{}
@@ -192,7 +192,7 @@ func (sp *Space) pathWithin(src, dst int32, inComp map[int32]bool) []int32 {
 // findSubset returns an activation subset of enabled that steps cfg to the
 // state index want, or nil.
 func (sp *Space) findSubset(det protocol.Deterministic, cfg protocol.Configuration, enabled []int, want int32) []int {
-	for _, sub := range sp.Policy().Subsets(enabled) {
+	for _, sub := range sp.Pol.Subsets(enabled) {
 		next := protocol.Step(det, cfg, sub, nil)
 		if got, ok := sp.StateOf(next); ok && got == want {
 			return sub

@@ -64,7 +64,7 @@ func (sp *Space) GoudaFairLasso(cycle []protocol.Configuration) bool {
 func (sp *Space) NoGoudaFairDivergence() (protocol.Configuration, bool) {
 	canReach := sp.reverseReach()
 	comp := sp.sccs()
-	legit := sp.LegitSet()
+	legit := sp.Legit
 	members := map[int32][]int32{}
 	for s, c := range comp {
 		if c >= 0 {

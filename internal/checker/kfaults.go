@@ -12,13 +12,14 @@ package checker
 // an already-built system (historically the full space). BallVerdicts is
 // the frontier path: it enumerates the distance-≤k ball directly (a BFS
 // over single-process mutations, no transition exploration), frontier-
-// explores only the ball's forward closure (statespace.BuildFrom), and
-// classifies over that subspace — bit-identical verdicts at the cost of
-// the ball's closure instead of the whole configuration space. The ball
-// enumeration seeds from the algorithm's closed-form legitimate set
-// (protocol.LegitEnumerator) when available, so the pipeline is strictly
-// ball-sized; BallSweep and SweepKFaults (ballsweep.go) make it
-// incremental across k on top of the same machinery.
+// explores only the ball's forward closure
+// (statespace.BuildFromContext), and classifies over that subspace —
+// bit-identical verdicts at the cost of the ball's closure instead of the
+// whole configuration space. The ball enumeration seeds from the
+// algorithm's closed-form legitimate set (protocol.LegitEnumerator) when
+// available, so the pipeline is strictly ball-sized; BallSweep and
+// SweepKFaults (ballsweep.go) make it incremental across k on top of the
+// same machinery.
 
 import (
 	"context"
@@ -37,14 +38,14 @@ import (
 // would re-grow the backing array on every append once len reaches cap)
 // and configurations are decoded into one reused buffer.
 //
-// On a SubSpace, mutations leaving the explored set are skipped: the
+// On a frontier space, mutations leaving the explored set are skipped: the
 // distance is then relative to the subspace (exact whenever the subspace
 // contains the full mutation ball, as BallVerdicts' does).
 func (sp *Space) DistanceToLegitimate() []int {
-	a := sp.Algorithm()
+	a := sp.Alg
 	n := a.Graph().N()
 	states := sp.NumStates()
-	legit := sp.LegitSet()
+	legit := sp.Legit
 	dist := make([]int, states)
 	for i := range dist {
 		dist[i] = -1
@@ -141,7 +142,7 @@ func (sp *Space) divergingStates() []bool {
 			members[c] = append(members[c], int32(s))
 		}
 	}
-	legit := sp.LegitSet()
+	legit := sp.Legit
 	bad := make([]bool, sp.NumStates())
 	for _, states := range members {
 		if sp.componentHasCycle(states, comp) {
@@ -201,56 +202,21 @@ func FaultBallContext(ctx context.Context, a protocol.Algorithm, k int, workers 
 }
 
 // SubSpaceBuilder explores the forward closure of a seed set — the shape
-// of statespace.BuildFromContext, which BallClosure uses directly, and of
-// the load-or-build wrappers an on-disk space cache provides (a closure
-// over spacecache.Cache.BuildSubSpaceContext satisfies it without this
-// package depending on the cache). Implementations honor ctx with
+// of statespace.BuildFromContext, which the ball pipelines use when no
+// builder is injected, and of the load-or-build an on-disk space cache
+// provides (spacecache.Cache.BuildSubSpaceContext, adapted by
+// CacheSources). Implementations honor ctx with
 // statespace.BuildFromContext's shell-boundary semantics.
-type SubSpaceBuilder func(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (*statespace.SubSpace, error)
-
-// BallClosure enumerates the distance-≤k fault ball (FaultBall) and
-// frontier-explores its forward closure (statespace.BuildFrom) — exactly
-// once each. It returns the closure subspace together with the ball's
-// global indexes and exact fault distances, so one exploration can feed
-// both a full classification report (core.AnalyzeSpace over the subspace)
-// and the per-k verdicts (BallVerdictsOver). When the legitimate set is
-// empty there is nothing to explore: the subspace is nil and globals is
-// empty, with no error.
-func BallClosure(a protocol.Algorithm, pol scheduler.Policy, k int, opt statespace.Options) (*statespace.SubSpace, []int64, []int, error) {
-	return BallClosureUsing(nil, a, pol, k, opt)
-}
-
-// BallClosureUsing is BallClosure with the closure exploration delegated
-// to build (nil means statespace.BuildFrom) — the cached pipelines of
-// stabcheck, the experiments and the examples inject a space-cache
-// load-or-build here, so the one-ball-enumeration + one-closure shape
-// lives in exactly one place. Callers that also persist the ball
-// enumeration itself pass a full Sources via BallClosureWith.
-func BallClosureUsing(build SubSpaceBuilder, a protocol.Algorithm, pol scheduler.Policy, k int, opt statespace.Options) (*statespace.SubSpace, []int64, []int, error) {
-	return BallClosureWith(Sources{Build: build}, a, pol, k, opt)
-}
-
-// BuilderFromCache adapts any load-or-build source with the shape of
-// spacecache.Cache.BuildSubSpaceContext (which is nil-receiver-safe, so a
-// missing -cache flag threads straight through) to a SubSpaceBuilder,
-// discarding the hit flag. The parameter is structural, so this package
-// stays independent of the cache layer.
-func BuilderFromCache(c interface {
-	BuildSubSpaceContext(context.Context, protocol.Algorithm, scheduler.Policy, []int64, statespace.Options) (*statespace.SubSpace, bool, error)
-}) SubSpaceBuilder {
-	return func(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (*statespace.SubSpace, error) {
-		ss, _, err := c.BuildSubSpaceContext(ctx, a, pol, seeds, opt)
-		return ss, err
-	}
-}
+type SubSpaceBuilder func(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (*statespace.Space, error)
 
 // BallLocalDistances maps the ball enumeration (globals and aligned fault
-// distances, as returned by FaultBall or BallClosure) onto the local state
-// ids of the ball's closure subspace: ball members carry their exact
-// distance, closure states discovered beyond the ball are marked -1 (they
-// are not initial configurations of any k'-fault scenario). A nil
-// subspace (BallClosure's empty-legitimate-set result) yields nil.
-func BallLocalDistances(ss *statespace.SubSpace, globals []int64, ballDist []int) []int {
+// distances, as returned by FaultBall or BallClosureWithContext) onto the
+// local state ids of the ball's closure subspace: ball members carry their
+// exact distance, closure states discovered beyond the ball are marked -1
+// (they are not initial configurations of any k'-fault scenario). A nil
+// subspace (BallClosureWithContext's empty-legitimate-set result) yields
+// nil.
+func BallLocalDistances(ss *statespace.Space, globals []int64, ballDist []int) []int {
 	if ss == nil {
 		return nil
 	}
@@ -267,13 +233,14 @@ func BallLocalDistances(ss *statespace.SubSpace, globals []int64, ballDist []int
 // BallVerdictsOver classifies the k-fault convergence properties for every
 // k' in 0..k over an already-built ball closure — no exploration of any
 // kind happens here, so a caller that has the subspace in hand (from
-// BallClosure, or loaded from an on-disk cache) pays only for the verdict
-// scans. localDist is the per-local-state fault-distance vector
+// BallClosureWithContext, or loaded from an on-disk cache) pays only for
+// the verdict scans. localDist is the per-local-state fault-distance vector
 // (BallLocalDistances), taken precomputed so callers that also need it —
 // e.g. for per-distance hitting times — compute it once. A nil subspace
-// (BallClosure's empty-legitimate-set result) yields VacuousVerdicts, so
-// the whole ball pipeline composes without a caller-side guard.
-func BallVerdictsOver(ss *statespace.SubSpace, localDist []int, k int) []KFaultVerdict {
+// (BallClosureWithContext's empty-legitimate-set result) yields
+// VacuousVerdicts, so the whole ball pipeline composes without a
+// caller-side guard.
+func BallVerdictsOver(ss *statespace.Space, localDist []int, k int) []KFaultVerdict {
 	if ss == nil {
 		return VacuousVerdicts(k)
 	}
@@ -300,14 +267,15 @@ func VacuousVerdicts(k int) []KFaultVerdict {
 
 // BallVerdicts classifies the k-fault convergence properties for every
 // k' in 0..k by frontier exploration: only the distance-≤k ball and its
-// forward closure are ever built — once, via BallClosure — so the cost
-// scales with the ball, not the configuration space. The verdicts are
-// bit-identical to running CheckKFaults over the full space (the ball
-// contains every configuration at distance ≤ k by construction, and every
-// execution from the ball stays inside the explored closure). The subspace
-// is returned for further analysis (e.g. hitting times of the ball states).
+// forward closure are ever built — once, via BallClosureWithContext — so
+// the cost scales with the ball, not the configuration space. The
+// verdicts are bit-identical to running CheckKFaults over the full space
+// (the ball contains every configuration at distance ≤ k by construction,
+// and every execution from the ball stays inside the explored closure).
+// The closure is returned for further analysis (e.g. hitting times of the
+// ball states).
 func BallVerdicts(a protocol.Algorithm, pol scheduler.Policy, k int, opt statespace.Options) ([]KFaultVerdict, *Space, error) {
-	ss, globals, ballDist, err := BallClosure(a, pol, k, opt)
+	ss, globals, ballDist, err := BallClosureWithContext(context.Background(), Sources{}, a, pol, k, opt)
 	if err != nil {
 		return nil, nil, err
 	}

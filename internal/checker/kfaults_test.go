@@ -17,7 +17,7 @@ func TestDistanceToLegitimateTokenRing(t *testing.T) {
 	dist := sp.DistanceToLegitimate()
 	// Distance 0 exactly on L.
 	for s := 0; s < sp.NumStates(); s++ {
-		if (dist[s] == 0) != sp.IsLegit(s) {
+		if (dist[s] == 0) != sp.Legit[s] {
 			t.Fatalf("distance 0 mismatch at %v", sp.Config(s))
 		}
 		if dist[s] < 0 {

@@ -7,6 +7,7 @@ package checker
 // results.
 
 import (
+	"context"
 	"testing"
 
 	"weakstab/internal/algorithms/tokenring"
@@ -52,7 +53,7 @@ func BenchmarkKSweepFromScratch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for k := 0; k <= benchSweepK; k++ {
-			ss, globals, dist, err := BallClosure(a, scheduler.CentralPolicy{}, k, statespace.Options{})
+			ss, globals, dist, err := BallClosureWithContext(context.Background(), Sources{}, a, scheduler.CentralPolicy{}, k, statespace.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -75,7 +76,7 @@ func BenchmarkKSweepPrePR5(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for k := 0; k <= benchSweepK; k++ {
-			ss, globals, dist, err := BallClosure(scanOnly{a}, scheduler.CentralPolicy{}, k, statespace.Options{})
+			ss, globals, dist, err := BallClosureWithContext(context.Background(), Sources{}, scanOnly{a}, scheduler.CentralPolicy{}, k, statespace.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}

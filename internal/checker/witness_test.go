@@ -81,7 +81,7 @@ func TestWorstCaseWitnessMatchesQuadraticReference(t *testing.T) {
 			}
 			// The path must be a real execution ending in L.
 			last := path[len(path)-1]
-			if !sp.Algorithm().Legitimate(last) {
+			if !sp.Alg.Legitimate(last) {
 				t.Fatalf("witness ends outside L: %v", last)
 			}
 			for i := 0; i+1 < len(path); i++ {

@@ -125,15 +125,6 @@ func (o Options) openCache() (*spacecache.Cache, error) {
 	return cache, nil
 }
 
-// closeSystem releases the mapping of a cache-loaded zero-copy system; on
-// anything else it is a no-op. Analyses that consume a system internally
-// (AnalyzeWith, AnalyzeFrom) close it before returning.
-func closeSystem(ts statespace.TransitionSystem) {
-	if c, ok := ts.(interface{ Close() error }); ok {
-		c.Close()
-	}
-}
-
 // spaceOptions lowers the analysis options to exploration options.
 func (o Options) spaceOptions() statespace.Options {
 	return statespace.Options{MaxStates: o.MaxStates, Workers: o.Workers, Obs: o.Obs}
@@ -170,15 +161,15 @@ func AnalyzeWithContext(ctx context.Context, a protocol.Algorithm, pol scheduler
 	if err != nil {
 		return nil, fmt.Errorf("core: exploring %s: %w", a.Name(), err)
 	}
-	defer closeSystem(ts)
+	defer ts.Close()
 	return AnalyzeSpaceContext(ctx, ts)
 }
 
 // AnalyzeFrom classifies the behavior of the algorithm on the subspace
 // reachable from the seed configurations: a frontier BFS
-// (statespace.BuildFrom) discovers only the forward closure of the seeds,
-// and every property of the report quantifies over those states. The cost
-// scales with the reachable region, not the configuration space — the
+// (statespace.BuildFromContext) discovers only the forward closure of the
+// seeds, and every property of the report quantifies over those states. The
+// cost scales with the reachable region, not the configuration space — the
 // k-fault and unsupportive-environment analyses this enables explore balls
 // of thousands of states inside spaces of millions.
 func AnalyzeFrom(a protocol.Algorithm, pol scheduler.Policy, seeds []protocol.Configuration, opt Options) (*Report, error) {
@@ -198,7 +189,7 @@ func AnalyzeFromContext(ctx context.Context, a protocol.Algorithm, pol scheduler
 	if err != nil {
 		return nil, fmt.Errorf("core: exploring %s from %d seeds: %w", a.Name(), len(seeds), err)
 	}
-	defer closeSystem(ss)
+	defer ss.Close()
 	return AnalyzeSpaceContext(ctx, ss)
 }
 
@@ -235,15 +226,15 @@ func SweepKFaultsContext(ctx context.Context, a protocol.Algorithm, pol schedule
 }
 
 // AnalyzeSpace runs the full classification over an already-explored
-// transition system — a full statespace.Space or a frontier-explored
-// statespace.SubSpace — without any further enumeration. Over a subspace,
-// every property is restricted to the explored (reachable) states; this is
-// sound because a subspace is closed under successors.
+// transition system, full or frontier-explored, without any further
+// enumeration. Over a frontier space, every property is restricted to the
+// explored (reachable) states; this is sound because the space is closed
+// under successors.
 //
 // A zero-copy mapped system (loaded through the cache's mmap path) is
 // pinned for the duration of the analysis, so a concurrent Close cannot
 // unmap the arrays mid-pass.
-func AnalyzeSpace(ts statespace.TransitionSystem) (*Report, error) {
+func AnalyzeSpace(ts *statespace.Space) (*Report, error) {
 	return AnalyzeSpaceContext(context.Background(), ts)
 }
 
@@ -251,20 +242,15 @@ func AnalyzeSpace(ts statespace.TransitionSystem) (*Report, error) {
 // checked between the checker and Markov phases and, inside the
 // hitting-time solve, at solver-block boundaries
 // (markov.HittingTimesContext).
-func AnalyzeSpaceContext(ctx context.Context, ts statespace.TransitionSystem) (*Report, error) {
-	if p, ok := ts.(interface {
-		Acquire() error
-		Release() error
-	}); ok {
-		if err := p.Acquire(); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		defer p.Release()
+func AnalyzeSpaceContext(ctx context.Context, ts *statespace.Space) (*Report, error) {
+	if err := ts.Acquire(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
+	defer ts.Release()
 	// Phase timings go to the process observer — AnalyzeSpace takes no
 	// options, and the phases matter per run, not per call site.
 	o := obs.Default()
-	a := ts.Algorithm()
+	a := ts.Alg
 	checkDone := o.Phase("checker")
 	sp := checker.FromSpace(ts)
 	closure := sp.CheckClosure()
@@ -290,7 +276,7 @@ func AnalyzeSpaceContext(ctx context.Context, ts statespace.TransitionSystem) (*
 	}
 	rep := &Report{
 		Algorithm:                a.Name(),
-		Policy:                   ts.Policy().Name(),
+		Policy:                   ts.Pol.Name(),
 		States:                   ts.NumStates(),
 		Closure:                  closure.Holds,
 		PossibleConvergence:      possible.Holds,

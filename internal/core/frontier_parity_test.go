@@ -3,13 +3,15 @@ package core
 // Frontier parity: every subspace-native analysis — closure, possible and
 // certain convergence, probability-1 reachability, hitting times — must
 // agree with the full-space analysis wherever the two overlap. For a seed
-// set covering the whole index range, the SubSpace *is* the Space (the
-// reports must match field for field, hitting-time statistics bit-equal);
+// set covering the whole index range, the frontier space *is* the full
+// space (the reports must match field for field, hitting-time statistics
+// bit-equal);
 // for a proper forward-closed subspace the per-state results restricted to
 // the explored states must be bit-equal (the canonical ascending-global
 // local order makes the solver's arithmetic identical, not merely close).
 
 import (
+	"context"
 	"testing"
 
 	"weakstab/internal/algorithms/coloring"
@@ -64,7 +66,7 @@ func parityMatrix(t *testing.T) []parityCase {
 // reproduce the full-space report exactly, for several worker counts.
 func TestAnalyzeSubSpaceFullSeedParity(t *testing.T) {
 	for _, tc := range parityMatrix(t) {
-		full, err := statespace.Build(tc.alg, tc.pol, statespace.Options{})
+		full, err := statespace.BuildContext(context.Background(), tc.alg, tc.pol, statespace.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -77,7 +79,7 @@ func TestAnalyzeSubSpaceFullSeedParity(t *testing.T) {
 			seeds[i] = int64(i)
 		}
 		for _, workers := range []int{1, 4} {
-			ss, err := statespace.BuildFrom(tc.alg, tc.pol, seeds, statespace.Options{Workers: workers})
+			ss, err := statespace.BuildFromContext(context.Background(), tc.alg, tc.pol, seeds, statespace.Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("%s w=%d: %v", tc.name, workers, err)
 			}
@@ -112,7 +114,7 @@ func TestAnalyzeSubSpaceFullSeedParity(t *testing.T) {
 // global states, for several worker counts.
 func TestSubSpaceAnalysesBitEqualOnClosure(t *testing.T) {
 	for _, tc := range parityMatrix(t) {
-		full, err := statespace.Build(tc.alg, tc.pol, statespace.Options{})
+		full, err := statespace.BuildContext(context.Background(), tc.alg, tc.pol, statespace.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -134,7 +136,7 @@ func TestSubSpaceAnalysesBitEqualOnClosure(t *testing.T) {
 		seedSets := [][]int64{ball, ball[:1]} // k=1 ball; singleton legitimate seed
 		for si, seeds := range seedSets {
 			for _, workers := range []int{1, 4} {
-				ss, err := statespace.BuildFrom(tc.alg, tc.pol, seeds, statespace.Options{Workers: workers})
+				ss, err := statespace.BuildFromContext(context.Background(), tc.alg, tc.pol, seeds, statespace.Options{Workers: workers})
 				if err != nil {
 					t.Fatalf("%s seeds#%d w=%d: %v", tc.name, si, workers, err)
 				}
@@ -176,7 +178,7 @@ func TestAnalyzeFrom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := statespace.BuildFromConfigs(ring, pol, seeds, statespace.Options{})
+	ss, err := statespace.BuildFromConfigsContext(context.Background(), ring, pol, seeds, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

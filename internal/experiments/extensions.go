@@ -9,6 +9,7 @@ package experiments
 // varying only the scheduler.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -66,7 +67,7 @@ func runE13(w io.Writer, opt Options) error {
 	}
 	// One shared exploration feeds both the fault-distance checker and the
 	// exact Markov recovery times.
-	ts, err := statespace.Build(a, scheduler.CentralPolicy{}, statespace.Options{Workers: opt.Workers})
+	ts, err := statespace.BuildContext(context.Background(), a, scheduler.CentralPolicy{}, statespace.Options{Workers: opt.Workers})
 	if err != nil {
 		return err
 	}

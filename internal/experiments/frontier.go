@@ -2,13 +2,14 @@ package experiments
 
 // E18 demonstrates the frontier-explored reachable-subspace engine on the
 // k-fault workload: classifying the distance-≤k fault ball needs only the
-// ball's forward closure (statespace.BuildFrom), not the full
+// ball's forward closure (statespace.BuildFromContext), not the full
 // configuration space, and the verdicts are bit-identical to the
 // full-space ones. The experiment runs both paths, verifies the parity,
 // and tabulates how many states each explores — the frontier cost follows
 // the ball, the classic cost follows the space.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -58,7 +59,7 @@ func runE18(w io.Writer, opt Options) error {
 
 	// Full-space reference verdicts (the classic path) — through the cache,
 	// so an E18 rerun loads the space instead of rebuilding it.
-	fullTS, _, err := cache.BuildSpace(inner, pol, ssOpt)
+	fullTS, _, err := cache.BuildSpaceContext(context.Background(), inner, pol, ssOpt)
 	if err != nil {
 		return err
 	}
@@ -69,7 +70,10 @@ func runE18(w io.Writer, opt Options) error {
 	// Ball-seeded frontier verdicts (the reachable-only path): one ball
 	// enumeration, one closure exploration — skipped entirely on a cache
 	// hit — then the verdict scans over the built subspace.
-	ballSS, globals, ballDist, err := checker.BallClosureUsing(checker.BuilderFromCache(cache), inner, pol, maxK, ssOpt)
+	// Only the closure goes through the cache; the ball is enumerated in
+	// process.
+	src := checker.Sources{Build: checker.CacheSources(cache).Build}
+	ballSS, globals, ballDist, err := checker.BallClosureWithContext(context.Background(), src, inner, pol, maxK, ssOpt)
 	if err != nil {
 		return err
 	}
@@ -103,7 +107,7 @@ func runE18(w io.Writer, opt Options) error {
 	// path: closure of L under the coin-toss transformer, verified
 	// convergent with probability 1 on the subspace.
 	trans := transformer.New(inner)
-	ss, _, _, err := checker.BallClosureUsing(checker.BuilderFromCache(cache), trans, scheduler.DistributedPolicy{}, 0, ssOpt)
+	ss, _, _, err := checker.BallClosureWithContext(context.Background(), src, trans, scheduler.DistributedPolicy{}, 0, ssOpt)
 	if err != nil {
 		return err
 	}

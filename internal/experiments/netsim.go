@@ -16,6 +16,7 @@ package experiments
 // increasingly unsupportive networks.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -66,7 +67,7 @@ func netsimExactParity(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	sp, err := statespace.Build(a, scheduler.SynchronousPolicy{}, statespace.Options{Workers: opt.Workers})
+	sp, err := statespace.BuildContext(context.Background(), a, scheduler.SynchronousPolicy{}, statespace.Options{Workers: opt.Workers})
 	if err != nil {
 		return err
 	}
@@ -123,7 +124,7 @@ func netsimStatisticalParity(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	sp, err := statespace.Build(a, scheduler.SynchronousPolicy{}, statespace.Options{Workers: opt.Workers})
+	sp, err := statespace.BuildContext(context.Background(), a, scheduler.SynchronousPolicy{}, statespace.Options{Workers: opt.Workers})
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -167,7 +168,7 @@ func meanHittingTime(a protocol.Algorithm, pol scheduler.Policy, opt Options) (f
 		return 0, err
 	}
 	cache.SetMmap(!opt.NoMmap)
-	ts, _, err := cache.BuildSpace(a, pol, statespace.Options{MaxStates: statespace.IndexLimit, Workers: opt.Workers})
+	ts, _, err := cache.BuildSpaceContext(context.Background(), a, pol, statespace.Options{MaxStates: statespace.IndexLimit, Workers: opt.Workers})
 	if err != nil {
 		return 0, err
 	}

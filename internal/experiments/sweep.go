@@ -122,9 +122,7 @@ func runE19(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	if dres.Sub != nil {
-		defer dres.Sub.Close() // a warm-cache sweep may hand back a mapped closure
-	}
+	defer dres.Sub.Close() // a warm-cache sweep may hand back a mapped closure
 	if dres.BreaksCertainAt >= 0 {
 		return fmt.Errorf("%s must never break certain convergence, broke at k=%d", dk.Name(), dres.BreaksCertainAt)
 	}

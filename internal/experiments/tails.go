@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -68,7 +69,7 @@ func runE17(w io.Writer, opt Options) error {
 		)
 	}
 	for _, c := range cases {
-		ts, err := statespace.Build(c.alg, c.pol, statespace.Options{MaxStates: statespace.IndexLimit, Workers: opt.Workers})
+		ts, err := statespace.BuildContext(context.Background(), c.alg, c.pol, statespace.Options{MaxStates: statespace.IndexLimit, Workers: opt.Workers})
 		if err != nil {
 			return err
 		}

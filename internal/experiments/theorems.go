@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -153,7 +154,7 @@ func runE5(w io.Writer, opt Options) error {
 		}
 		v := checker.Verdict{
 			Algorithm: a.Name(),
-			Policy:    sp.Policy().Name(),
+			Policy:    sp.Pol.Name(),
 			States:    sp.NumStates(),
 			Closure:   sp.CheckClosure(),
 			Possible:  sp.CheckPossibleConvergence(),
@@ -459,7 +460,7 @@ func runE10(w io.Writer, opt Options) error {
 }
 
 func probOneEverywhere(a protocol.Algorithm, pol scheduler.Policy, workers int) (bool, error) {
-	ts, err := statespace.Build(a, pol, statespace.Options{MaxStates: markov.DefaultMaxStates, Workers: workers})
+	ts, err := statespace.BuildContext(context.Background(), a, pol, statespace.Options{MaxStates: markov.DefaultMaxStates, Workers: workers})
 	if err != nil {
 		return false, err
 	}

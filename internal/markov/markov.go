@@ -23,6 +23,7 @@
 package markov
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -54,10 +55,10 @@ type Chain struct {
 	succ []int32   // transition targets
 	prob []float64 // transition probabilities aligned with succ
 
-	sp      statespace.TransitionSystem // non-nil when aliasing an explored system
-	rows    [][]Trans                   // builder rows, pending until the next seal
-	dirty   bool                        // rows changed since the last seal
-	workers int                         // analysis pool size override (0 = inherit)
+	sp      *statespace.Space // non-nil when aliasing an explored system
+	rows    [][]Trans         // builder rows, pending until the next seal
+	dirty   bool              // rows changed since the last seal
+	workers int               // analysis pool size override (0 = inherit)
 
 	mu       sync.Mutex         // guards seal and the reverse cache
 	rev      statespace.Reverse // cached predecessor view (builder path)
@@ -274,7 +275,7 @@ func FromAlgorithm(a protocol.Algorithm, pol scheduler.Policy, maxStates int64) 
 	if maxStates <= 0 {
 		maxStates = DefaultMaxStates
 	}
-	sp, err := statespace.Build(a, pol, statespace.Options{MaxStates: maxStates})
+	sp, err := statespace.BuildContext(context.Background(), a, pol, statespace.Options{MaxStates: maxStates})
 	if err != nil {
 		return nil, nil, fmt.Errorf("markov: %w", err)
 	}
@@ -287,13 +288,12 @@ func FromAlgorithm(a protocol.Algorithm, pol scheduler.Policy, maxStates int64) 
 
 // FromSpace builds the chain over an already-explored transition system's
 // weighted view with zero copying: the chain aliases the system's CSR
-// arrays directly, so constructing it allocates nothing per transition.
-// The system may be a full statespace.Space or a frontier-explored
-// statespace.SubSpace — the analyses run over whichever state indexing it
-// uses. Terminal states stay absorbing (empty rows). Rows are validated
-// (positive probabilities summing to 1) in parallel without materializing
-// anything.
-func FromSpace(sp statespace.TransitionSystem) (*Chain, error) {
+// arrays directly, so constructing it allocates nothing per transition. The
+// space may be full or frontier-explored — the analyses run over whichever
+// state indexing it uses. Terminal states stay absorbing (empty rows). Rows
+// are validated (positive probabilities summing to 1) in parallel without
+// materializing anything.
+func FromSpace(sp *statespace.Space) (*Chain, error) {
 	off, succ, prob := sp.CSR()
 	var (
 		mu   sync.Mutex
@@ -336,7 +336,7 @@ func FromSpace(sp statespace.TransitionSystem) (*Chain, error) {
 
 // TargetFromSpace returns the legitimate-set target vector of an explored
 // system (aliasing its legitimacy vector; callers must not modify it).
-func TargetFromSpace(sp statespace.TransitionSystem) []bool { return sp.LegitSet() }
+func TargetFromSpace(sp *statespace.Space) []bool { return sp.Legit }
 
 // Summary aggregates hitting times over the non-target states.
 type Summary struct {

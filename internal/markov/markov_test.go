@@ -1,6 +1,7 @@
 package markov
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 // returning the space's target vector and encoder alongside.
 func mustChain(t *testing.T, a protocol.Algorithm, pol scheduler.Policy) (*Chain, []bool, *protocol.Encoder) {
 	t.Helper()
-	ts, err := statespace.Build(a, pol, statespace.Options{})
+	ts, err := statespace.BuildContext(context.Background(), a, pol, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +245,7 @@ func TestHermanExactExpectedTime(t *testing.T) {
 
 func TestTargetFromSpaceAndSummarize(t *testing.T) {
 	a := mustSyncpair(t)
-	ts, err := statespace.Build(a, scheduler.DistributedPolicy{}, statespace.Options{})
+	ts, err := statespace.BuildContext(context.Background(), a, scheduler.DistributedPolicy{}, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

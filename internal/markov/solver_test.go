@@ -1,6 +1,7 @@
 package markov
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -47,7 +48,7 @@ func solverCases(t *testing.T) []*statespace.Space {
 	var spaces []*statespace.Space
 	for _, a := range algs {
 		for _, pol := range policies {
-			ts, err := statespace.Build(a, pol, statespace.Options{})
+			ts, err := statespace.BuildContext(context.Background(), a, pol, statespace.Options{})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", a.Name(), pol.Name(), err)
 			}
@@ -283,7 +284,7 @@ func TestHittingTimesAfterSetRowOnSpaceChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := statespace.Build(a, scheduler.DistributedPolicy{}, statespace.Options{})
+	ts, err := statespace.BuildContext(context.Background(), a, scheduler.DistributedPolicy{}, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"context"
 	"testing"
 
 	"weakstab/internal/algorithms/tokenring"
@@ -18,7 +19,7 @@ func BenchmarkMCWalk(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sp, err := statespace.Build(a, scheduler.CentralPolicy{}, statespace.Options{})
+	sp, err := statespace.BuildContext(context.Background(), a, scheduler.CentralPolicy{}, statespace.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func BenchmarkMCWalkSingleWorker(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sp, err := statespace.Build(a, scheduler.CentralPolicy{}, statespace.Options{})
+	sp, err := statespace.BuildContext(context.Background(), a, scheduler.CentralPolicy{}, statespace.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

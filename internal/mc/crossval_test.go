@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -46,7 +47,7 @@ func buildInstance(t *testing.T, ins instance) (*statespace.Space, *markov.Chain
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := statespace.Build(a, ins.policy, statespace.Options{})
+	sp, err := statespace.BuildContext(context.Background(), a, ins.policy, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,7 @@
 // regime where the exact Markov solve no longer fits: it estimates the
 // stabilization-time distribution of the randomized scheduler's chain by
 // walking the probabilistic transition relation directly on the explored
-// CSR — a full statespace.Space, a frontier SubSpace, or a zero-copy
+// CSR — a full or frontier statespace.Space, heap-built or a zero-copy
 // mmap-backed cache load; warm sampling never decodes a transition.
 //
 // The design is throughput- and reproducibility-first:
@@ -152,8 +152,8 @@ func (r *Result) ECDF(t float64) float64 {
 }
 
 // System is the slice of the transition-system surface the estimator
-// walks: the explored CSR and its pool size. Every
-// statespace.TransitionSystem (Space, SubSpace, mapped or heap-decoded)
+// walks: the explored CSR, its pool size and the pin on its backing
+// memory. *statespace.Space (full or frontier, mapped or heap-decoded)
 // satisfies it; tests satisfy it with hand-built chains.
 type System interface {
 	// NumStates returns the number of states of the system.
@@ -164,6 +164,11 @@ type System interface {
 	// CSR exposes the raw forward CSR triple without copying. The
 	// estimator aliases the slices and never modifies them.
 	CSR() (off []int64, succ []int32, prob []float64)
+	// Acquire pins the memory behind the CSR against a concurrent Close
+	// (a zero-copy mapped space; a no-op for heap memory); Release undoes
+	// one Acquire.
+	Acquire() error
+	Release() error
 }
 
 // Estimator holds the per-space sampling tables: the CSR triple aliased
@@ -198,11 +203,10 @@ func New(ts System, target []bool) (*Estimator, error) {
 	if len(target) != n {
 		return nil, fmt.Errorf("mc: target length %d != states %d", len(target), n)
 	}
-	release, err := pin(ts)
-	if err != nil {
-		return nil, err
+	if err := ts.Acquire(); err != nil {
+		return nil, fmt.Errorf("mc: %w", err)
 	}
-	defer release()
+	defer ts.Release()
 	off, succ, prob := ts.CSR()
 	e := &Estimator{
 		ts:      ts,
@@ -255,22 +259,6 @@ func New(ts System, target []bool) (*Estimator, error) {
 		}
 	}
 	return e, nil
-}
-
-// pin acquires a zero-copy mapped system against concurrent unmapping
-// (the same contract core.AnalyzeSpace honors); a no-op release for
-// everything else.
-func pin(ts System) (release func(), err error) {
-	if p, ok := ts.(interface {
-		Acquire() error
-		Release() error
-	}); ok {
-		if err := p.Acquire(); err != nil {
-			return nil, fmt.Errorf("mc: %w", err)
-		}
-		return func() { p.Release() }, nil
-	}
-	return func() {}, nil
 }
 
 // resolveWorkers resolves a worker-pool option against the backing
@@ -328,11 +316,10 @@ func (e *Estimator) RunContext(ctx context.Context, opt Options) (*Result, error
 	} else if len(e.nonTarget) == 0 {
 		return nil, errors.New("mc: every state is a target state; nothing to estimate")
 	}
-	release, err := pin(e.ts)
-	if err != nil {
-		return nil, err
+	if err := e.ts.Acquire(); err != nil {
+		return nil, fmt.Errorf("mc: %w", err)
 	}
-	defer release()
+	defer e.ts.Release()
 
 	numBatches := (trials + batch - 1) / batch
 	workers := resolveWorkers(opt.Workers, e.ts)

@@ -19,6 +19,8 @@ type chain struct {
 func (c *chain) NumStates() int                                   { return len(c.off) - 1 }
 func (c *chain) PoolWorkers() int                                 { return c.workers }
 func (c *chain) CSR() (off []int64, succ []int32, prob []float64) { return c.off, c.succ, c.prob }
+func (c *chain) Acquire() error                                   { return nil }
+func (c *chain) Release() error                                   { return nil }
 
 // buildChain assembles a chain from per-state rows of (successor, prob)
 // pairs. A nil row is an absorbing state.

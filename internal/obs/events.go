@@ -17,7 +17,7 @@ import (
 )
 
 // FrontierShell reports one BFS level of a frontier exploration
-// (statespace.Builder / BuildFrom): event "frontier.shell".
+// (statespace.Builder / BuildFromContext): event "frontier.shell".
 type FrontierShell struct {
 	// Shell is the 0-based level index within this builder's lifetime.
 	Shell int `json:"shell"`
@@ -35,7 +35,7 @@ type FrontierShell struct {
 }
 
 // BuildProgress reports full-range exploration progress
-// (statespace.Build): event "build.progress", emitted at coarse state
+// (statespace.BuildContext): event "build.progress", emitted at coarse state
 // milestones from the worker pool (arrival order is scheduling-
 // dependent; the cumulative counters are monotone).
 type BuildProgress struct {

@@ -317,9 +317,8 @@ func TestServeDebug(t *testing.T) {
 
 func TestProgressRendering(t *testing.T) {
 	var buf bytes.Buffer
-	p := NewProgress(&buf)
 	tick := time.Unix(0, 0)
-	p.now = func() time.Time { tick = tick.Add(time.Second); return tick }
+	p := newProgress(&buf, func() time.Time { tick = tick.Add(time.Second); return tick })
 	p.Handle("frontier.shell", FrontierShell{Shell: 3, Expanded: 100, New: 40, States: 500, Edges: 1500, DedupRate: 0.6})
 	p.Handle("netsim.trial", NetsimTrial{Trial: 0, Of: 10, Rounds: 55, Converged: true})
 	p.Done()
@@ -332,6 +331,19 @@ func TestProgressRendering(t *testing.T) {
 	}
 	if !strings.HasSuffix(out, "\n") {
 		t.Errorf("Done did not terminate the line: %q", out)
+	}
+
+	// The rate clock starts with the run (NewProgress), not at the first
+	// event: a first build.progress event 2 s in, with 1M of 4M states
+	// done, reads 500k states/s and a 6 s ETA.
+	buf.Reset()
+	now := time.Unix(0, 0)
+	p = newProgress(&buf, func() time.Time { return now })
+	now = now.Add(2 * time.Second)
+	p.Handle("build.progress", BuildProgress{Done: 1_000_000, Total: 4_000_000, Edges: 5_000_000})
+	p.Done()
+	if out := buf.String(); !strings.Contains(out, "500.0k states/s") || !strings.Contains(out, "ETA 6s") {
+		t.Errorf("first tick 2 s into the run: %q, want 500.0k states/s and ETA 6s", out)
 	}
 }
 

@@ -32,9 +32,14 @@ type Progress struct {
 }
 
 // NewProgress returns a renderer writing to w, updating at most every
-// 200ms (events between refreshes still fold into the counters).
-func NewProgress(w io.Writer) *Progress {
-	return &Progress{w: w, minGap: 200 * time.Millisecond, now: time.Now}
+// 200ms (events between refreshes still fold into the counters). Rates
+// and ETAs are measured from this call — the start of the run — so the
+// first event already reports the throughput of the work before it.
+func NewProgress(w io.Writer) *Progress { return newProgress(w, time.Now) }
+
+// newProgress is NewProgress on an injected clock.
+func newProgress(w io.Writer, now func() time.Time) *Progress {
+	return &Progress{w: w, minGap: 200 * time.Millisecond, now: now, start: now()}
 }
 
 // Handle is the event hook: it folds the payload into the renderer's
@@ -44,9 +49,6 @@ func (p *Progress) Handle(name string, payload any) {
 	defer p.mu.Unlock()
 	if p.closed {
 		return
-	}
-	if p.start.IsZero() {
-		p.start = p.now()
 	}
 	var line string
 	switch ev := payload.(type) {

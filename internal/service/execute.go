@@ -37,7 +37,7 @@ type Deps struct {
 	// the response assembled and the explored transition system still
 	// open — the attachment point for witness and lasso extraction
 	// (stabcheck's -witness/-lasso stay on the shared path through it).
-	Inspect func(resp *Response, ts statespace.TransitionSystem)
+	Inspect func(resp *Response, sp *statespace.Space)
 }
 
 // build resolves the instance builder.
@@ -81,9 +81,9 @@ func Execute(ctx context.Context, req Request, deps Deps) (*Response, error) {
 // exploreSystem runs the request's exploration — the full index range,
 // the fault-ball closure (Reachable without explicit seeds), or the
 // forward closure of explicit seed configurations — through the disk
-// cache, under an "explore" phase timing. The ball triple is non-nil
-// only on the ball-closure path.
-func exploreSystem(ctx context.Context, id Request, a protocol.Algorithm, pol scheduler.Policy, opt statespace.Options, deps Deps) (ts statespace.TransitionSystem, ballSS *statespace.SubSpace, ballGlobals []int64, ballDist []int, err error) {
+// cache, under an "explore" phase timing. The ball pair is non-nil only
+// on the ball-closure path, where sp is the ball's closure.
+func exploreSystem(ctx context.Context, id Request, a protocol.Algorithm, pol scheduler.Policy, opt statespace.Options, deps Deps) (sp *statespace.Space, ballGlobals []int64, ballDist []int, err error) {
 	exploreDone := obs.Or(deps.Obs).Phase("explore")
 	defer exploreDone()
 	switch {
@@ -92,20 +92,19 @@ func exploreSystem(ctx context.Context, id Request, a protocol.Algorithm, pol sc
 		if id.KFaults != nil && *id.KFaults > 0 {
 			k = *id.KFaults
 		}
-		ballSS, ballGlobals, ballDist, err = checker.BallClosureWithContext(ctx, checker.CacheSources(deps.Cache), a, pol, k, opt)
-		if err == nil && ballSS == nil {
+		sp, ballGlobals, ballDist, err = checker.BallClosureWithContext(ctx, checker.CacheSources(deps.Cache), a, pol, k, opt)
+		if err == nil && sp == nil {
 			err = errors.New("the legitimate set is empty; give explicit seeds with -from")
 		}
-		ts = ballSS
 	case id.Reachable:
 		var cfgs []protocol.Configuration
 		if cfgs, err = ParseSeeds(id.From, a.Graph().N()); err == nil {
-			ts, _, err = deps.Cache.BuildSubSpaceFromConfigsContext(ctx, a, pol, cfgs, opt)
+			sp, _, err = deps.Cache.BuildSubSpaceFromConfigsContext(ctx, a, pol, cfgs, opt)
 		}
 	default:
-		ts, _, err = deps.Cache.BuildSpaceContext(ctx, a, pol, opt)
+		sp, _, err = deps.Cache.BuildSpaceContext(ctx, a, pol, opt)
 	}
-	return ts, ballSS, ballGlobals, ballDist, err
+	return sp, ballGlobals, ballDist, err
 }
 
 // executeReport is the classification mode: explore once (full range,
@@ -114,13 +113,13 @@ func exploreSystem(ctx context.Context, id Request, a protocol.Algorithm, pol sc
 // and the analyzed system is not already the ball closure — run the
 // ball pipeline once more for the verdicts alone.
 func executeReport(ctx context.Context, id Request, a protocol.Algorithm, pol scheduler.Policy, opt statespace.Options, deps Deps) (*Response, error) {
-	ts, ballSS, ballGlobals, ballDist, err := exploreSystem(ctx, id, a, pol, opt, deps)
+	sp, globals, dist, err := exploreSystem(ctx, id, a, pol, opt, deps)
 	if err != nil {
 		return nil, err
 	}
-	defer closeSystem(ts)
+	defer sp.Close()
 
-	rep, err := core.AnalyzeSpaceContext(ctx, ts)
+	rep, err := core.AnalyzeSpaceContext(ctx, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -129,19 +128,17 @@ func executeReport(ctx context.Context, id Request, a protocol.Algorithm, pol sc
 		return resp, err
 	}
 	if id.KFaults != nil {
-		ss, globals, dist := ballSS, ballGlobals, ballDist
-		if ss == nil {
+		ss := sp
+		if globals == nil {
 			// Full-space or explicit-seed report: the ball pipeline still
 			// runs exactly once, for the verdicts only.
 			ss, globals, dist, err = checker.BallClosureWithContext(ctx, checker.CacheSources(deps.Cache), a, pol, *id.KFaults, opt)
 			if err != nil {
 				return nil, err
 			}
-			if ss != nil {
-				defer ss.Close()
-			}
+			defer ss.Close()
 		}
-		// A nil subspace (empty legitimate set) yields vacuous verdicts.
+		// A nil closure (empty legitimate set) yields vacuous verdicts.
 		verdicts := checker.BallVerdictsOver(ss, checker.BallLocalDistances(ss, globals, dist), *id.KFaults)
 		resp.KFaults = kfaultJSON(verdicts)
 		if ss != nil {
@@ -149,7 +146,7 @@ func executeReport(ctx context.Context, id Request, a protocol.Algorithm, pol sc
 		}
 	}
 	if deps.Inspect != nil {
-		deps.Inspect(resp, ts)
+		deps.Inspect(resp, sp)
 	}
 	return resp, nil
 }
@@ -161,13 +158,13 @@ func executeReport(ctx context.Context, id Request, a protocol.Algorithm, pol sc
 // pure function of the request identity — Workers is tuning here exactly
 // as it is for the exact analyses.
 func executeMC(ctx context.Context, id Request, a protocol.Algorithm, pol scheduler.Policy, opt statespace.Options, deps Deps) (*Response, error) {
-	ts, _, _, _, err := exploreSystem(ctx, id, a, pol, opt, deps)
+	sp, _, _, err := exploreSystem(ctx, id, a, pol, opt, deps)
 	if err != nil {
 		return nil, err
 	}
-	defer closeSystem(ts)
+	defer sp.Close()
 
-	res, err := core.EstimateSpaceContext(ctx, ts, mc.Options{
+	res, err := core.EstimateSpaceContext(ctx, sp, mc.Options{
 		Trials:   id.Trials,
 		MaxSteps: id.MCMaxSteps,
 		Seed:     id.Seed,
@@ -180,11 +177,11 @@ func executeMC(ctx context.Context, id Request, a protocol.Algorithm, pol schedu
 	}
 	resp := &Response{
 		Request:  id,
-		MC:       mcJSON(a.Name(), pol.Name(), ts.NumStates(), ts.TotalConfigs(), id.Seed, res),
+		MC:       mcJSON(a.Name(), pol.Name(), sp.NumStates(), sp.TotalConfigs(), id.Seed, res),
 		MCResult: res,
 	}
 	if deps.Inspect != nil {
-		deps.Inspect(resp, ts)
+		deps.Inspect(resp, sp)
 	}
 	return resp, nil
 }
@@ -210,14 +207,6 @@ func executeSweep(ctx context.Context, id Request, a protocol.Algorithm, pol sch
 		res.Sub.Close()
 	}
 	return resp, nil
-}
-
-// closeSystem releases the mapping of a zero-copy cache-loaded system
-// once the job is done with it; a no-op for built or decoded systems.
-func closeSystem(ts statespace.TransitionSystem) {
-	if c, ok := ts.(interface{ Close() error }); ok {
-		c.Close()
-	}
 }
 
 // ParseSeeds parses "1,0,2;0,0,0" into configurations of n states — the

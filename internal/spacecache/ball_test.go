@@ -1,6 +1,7 @@
 package spacecache
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -223,7 +224,7 @@ func TestBallCapAndNilSafety(t *testing.T) {
 
 // TestBallWarmPipelineZeroCallbacks pins the satellite acceptance: with
 // ball and closure both cached, the single-k pipeline
-// (checker.BallClosureWith, the `stabcheck -reachable -kfaults` path)
+// (checker.BallClosureWithContext, the `stabcheck -reachable -kfaults` path)
 // performs zero legitimacy scans and zero exploration callbacks.
 func TestBallWarmPipelineZeroCallbacks(t *testing.T) {
 	inner, err := tokenring.New(5)
@@ -237,12 +238,12 @@ func TestBallWarmPipelineZeroCallbacks(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k = 1
-	coldSS, coldG, coldD, err := checker.BallClosureWith(checker.CacheSources(c), inner, pol, k, opt)
+	coldSS, coldG, coldD, err := checker.BallClosureWithContext(context.Background(), checker.CacheSources(c), inner, pol, k, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	counted := &countingBallAlg{LegitEnumerator: inner}
-	warmSS, warmG, warmD, err := checker.BallClosureWith(checker.CacheSources(c), counted, pol, k, opt)
+	warmSS, warmG, warmD, err := checker.BallClosureWithContext(context.Background(), checker.CacheSources(c), counted, pol, k, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

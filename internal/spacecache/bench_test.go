@@ -10,6 +10,7 @@ package spacecache
 // BENCH_pr4.json; the decode-vs-mmap pair lands in BENCH_pr6.json.
 
 import (
+	"context"
 	"testing"
 
 	"weakstab/internal/algorithms/tokenring"
@@ -36,7 +37,7 @@ func BenchmarkSpaceCacheCold(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sp, err := statespace.Build(a, pol, statespace.Options{})
+		sp, err := statespace.BuildContext(context.Background(), a, pol, statespace.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -54,7 +55,7 @@ func BenchmarkSpaceCacheWarm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, _, err := c.BuildSpace(a, pol, statespace.Options{}); err != nil {
+	if _, _, err := c.BuildSpaceContext(context.Background(), a, pol, statespace.Options{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -80,7 +81,7 @@ func benchWarmLoad(b *testing.B, mmap bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, _, err := c.BuildSpace(a, pol, statespace.Options{}); err != nil {
+	if _, _, err := c.BuildSpaceContext(context.Background(), a, pol, statespace.Options{}); err != nil {
 		b.Fatal(err)
 	}
 	c.SetMmap(mmap)
@@ -122,7 +123,7 @@ func BenchmarkWarmLoadMmapFirst(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, _, err := c.BuildSpace(a, pol, statespace.Options{}); err != nil {
+	if _, _, err := c.BuildSpaceContext(context.Background(), a, pol, statespace.Options{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

@@ -9,8 +9,9 @@
 // therefore keys each file by a canonical hash of that triple — the
 // algorithm's parameterized name, its process count and per-process state
 // domains, the exact communication-graph edge set, and the policy name —
-// plus, for frontier-explored subspaces, a hash of the seed *set* (order-
-// and duplicate-insensitive, matching BuildFrom's dedup semantics). Any
+// plus, for frontier-explored spaces, a hash of the seed *set* (order-
+// and duplicate-insensitive, matching BuildFromContext's dedup
+// semantics). Any
 // semantic change to the instance changes the key, so a stale file is
 // simply never found.
 //
@@ -21,8 +22,8 @@
 // entry. Files are written to a temp name and renamed into place, so
 // concurrent or crashed writers leave either the old bytes or the new,
 // never a torn file. A nil *Cache is valid and means "no caching": every
-// Build* method then just explores, which lets callers thread an optional
-// -cache flag through without branching.
+// Build*Context method then just explores, which lets callers thread an
+// optional -cache flag through without branching.
 package spacecache
 
 import (
@@ -50,7 +51,7 @@ import (
 //
 // Where the platform supports it, loads are zero-copy by default: the
 // cache file is mmap'd read-only and the CSR sections alias the mapping
-// (statespace.MapSpace/MapSubSpace), so a warm analysis touches only the
+// (statespace.MapSpace), so a warm analysis touches only the
 // pages it reads instead of decoding every byte. Systems loaded this way
 // own a mapping and should be Closed by the caller when done (a finalizer
 // reclaims forgotten ones); callers that cannot tolerate that ownership
@@ -191,11 +192,11 @@ func Key(a protocol.Algorithm, pol scheduler.Policy) string {
 	return hex.EncodeToString(sum[:12])
 }
 
-// SubKey returns the canonical cache key of a frontier-explored subspace:
+// SubKey returns the canonical cache key of a frontier-explored space:
 // the full-space identity extended with a hash of the seed *set*. Seed
-// order and duplicates do not affect the key, mirroring BuildFrom (which
-// dedups seeds and canonicalizes local ids to ascending-global order, so
-// the built subspace is a pure function of the set).
+// order and duplicates do not affect the key, mirroring BuildFromContext
+// (which dedups seeds and canonicalizes local ids to ascending-global
+// order, so the built space is a pure function of the set).
 func SubKey(a protocol.Algorithm, pol scheduler.Policy, seeds []int64) string {
 	set := slices.Clone(seeds)
 	slices.Sort(set)
@@ -216,20 +217,42 @@ func (c *Cache) subPath(key string) string   { return filepath.Join(c.dir, key+"
 
 // LoadSpace returns the cached full space of (a, pol), or (nil, false) on
 // any miss — no file, or a file that fails validation (truncated,
-// corrupted, wrong version, or beyond opt.MaxStates). A miss is never an
-// error: the caller rebuilds and the rebuild's Store overwrites bad bytes.
+// corrupted, wrong version or kind, or beyond opt.MaxStates). A miss is
+// never an error: the caller rebuilds and the rebuild's Store overwrites
+// bad bytes.
 //
 // With the mmap path enabled (the default) a hit is zero-copy and the
 // returned space owns a file mapping — Close it when done. Buffers the
-// mapped loader declines (ErrNotMappable) fall back to the decode path
-// below, bit-equal.
+// mapped loader declines (ErrNotMappable) fall back to the decode path,
+// bit-equal.
 func (c *Cache) LoadSpace(a protocol.Algorithm, pol scheduler.Policy, opt statespace.Options) (*statespace.Space, bool) {
 	if c == nil {
 		return nil, false
 	}
-	o := obs.Or(opt.Obs)
 	key := Key(a, pol)
-	path := c.spacePath(key)
+	return c.load(c.spacePath(key), "space", key, a, pol, opt)
+}
+
+// LoadSubSpace returns the cached frontier space of (a, pol, seed set),
+// or (nil, false) on any miss, with the same degrade-to-rebuild and
+// mmap-ownership contracts as LoadSpace.
+func (c *Cache) LoadSubSpace(a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (*statespace.Space, bool) {
+	if c == nil {
+		return nil, false
+	}
+	key := SubKey(a, pol, seeds)
+	return c.load(c.subPath(key), "subspace", key, a, pol, opt)
+}
+
+// load is the body of both Load methods: map the entry at path (or decode
+// it when mapping is off or declined) and accept it only if its kind
+// matches the entry kind — a full space in a .space file, a frontier
+// space in a .subspace file. The readers enforce opt.MaxStates at the
+// header, before the arrays are decoded, so an oversized entry costs a
+// 32-byte read, not a full materialization.
+func (c *Cache) load(path, kind, key string, a protocol.Algorithm, pol scheduler.Policy, opt statespace.Options) (*statespace.Space, bool) {
+	o := obs.Or(opt.Obs)
+	full := kind == "space"
 	if c.MmapEnabled() {
 		if data, unmap, fi, err := mmapOpen(path); err == nil {
 			var sp *statespace.Space
@@ -238,13 +261,17 @@ func (c *Cache) LoadSpace(a protocol.Algorithm, pol scheduler.Policy, opt states
 			} else {
 				sp, err = statespace.MapSpace(data, a, pol, opt.Workers, opt.MaxStates, unmap)
 			}
-			if err == nil {
+			if err == nil && (sp.Globals() == nil) == full {
 				touch(path)
 				c.memoize(path)
-				observeLoad(o, "space", key, "mmap", true, fi.Size())
+				observeLoad(o, kind, key, "mmap", true, fi.Size())
 				return sp, true
 			}
-			unmap()
+			if err == nil {
+				sp.Close() // the wrong kind: closing the space unmaps
+			} else {
+				unmap()
+			}
 			// Fall through: ErrNotMappable (and any validation failure)
 			// degrades to the streaming decoder, which re-derives the
 			// hit-or-miss verdict on its own.
@@ -252,111 +279,58 @@ func (c *Cache) LoadSpace(a protocol.Algorithm, pol scheduler.Policy, opt states
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		observeLoad(o, "space", key, "", false, 0)
+		observeLoad(o, kind, key, "", false, 0)
 		return nil, false
 	}
 	defer f.Close()
-	// The reader enforces opt.MaxStates up front (a full space spans the
-	// whole index range, so the cap rejects before any byte is decoded).
 	sp, err := statespace.ReadSpace(f, a, pol, opt.Workers, opt.MaxStates)
-	if err != nil {
-		observeLoad(o, "space", key, "", false, 0)
+	if err != nil || (sp.Globals() == nil) != full {
+		observeLoad(o, kind, key, "", false, 0)
 		return nil, false
 	}
 	touch(path)
-	observeLoad(o, "space", key, "decode", true, sizeOf(f))
+	observeLoad(o, kind, key, "decode", true, sizeOf(f))
 	return sp, true
 }
 
-// StoreSpace persists sp under its canonical key, atomically (temp file +
-// rename). A nil cache stores nothing.
+// StoreSpace persists the full space sp under its canonical key,
+// atomically (temp file + rename). A nil cache stores nothing.
 func (c *Cache) StoreSpace(sp *statespace.Space) error {
 	if c == nil {
 		return nil
 	}
 	key := Key(sp.Alg, sp.Pol)
-	err := c.atomicWrite(c.spacePath(key), sp)
-	if err == nil {
-		observeStore(obs.Default(), "space", key)
-	}
-	return err
+	return c.store(c.spacePath(key), "space", key, sp)
 }
 
-// LoadSubSpace returns the cached subspace of (a, pol, seed set), or
-// (nil, false) on any miss, with the same degrade-to-rebuild and
-// mmap-ownership contracts as LoadSpace.
-func (c *Cache) LoadSubSpace(a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (*statespace.SubSpace, bool) {
-	if c == nil {
-		return nil, false
-	}
-	o := obs.Or(opt.Obs)
-	key := SubKey(a, pol, seeds)
-	path := c.subPath(key)
-	if c.MmapEnabled() {
-		if data, unmap, fi, err := mmapOpen(path); err == nil {
-			var ss *statespace.SubSpace
-			if st, ok := stampOf(fi); ok && c.trustedStamp(path, st) {
-				ss, err = statespace.MapSubSpaceTrusted(data, a, pol, opt.Workers, opt.MaxStates, unmap)
-			} else {
-				ss, err = statespace.MapSubSpace(data, a, pol, opt.Workers, opt.MaxStates, unmap)
-			}
-			if err == nil {
-				touch(path)
-				c.memoize(path)
-				observeLoad(o, "subspace", key, "mmap", true, fi.Size())
-				return ss, true
-			}
-			unmap()
-		}
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		observeLoad(o, "subspace", key, "", false, 0)
-		return nil, false
-	}
-	defer f.Close()
-	// The reader enforces opt.MaxStates at the header, before the arrays
-	// are decoded — an oversized entry costs a 32-byte read, not a full
-	// materialization.
-	ss, err := statespace.ReadSubSpace(f, a, pol, opt.Workers, opt.MaxStates)
-	if err != nil {
-		observeLoad(o, "subspace", key, "", false, 0)
-		return nil, false
-	}
-	touch(path)
-	observeLoad(o, "subspace", key, "decode", true, sizeOf(f))
-	return ss, true
-}
-
-// StoreSubSpace persists ss under the canonical key of its seed set,
-// atomically. The seeds must be the ones the subspace was built from.
-func (c *Cache) StoreSubSpace(ss *statespace.SubSpace, seeds []int64) error {
+// StoreSubSpace persists the frontier space sp under the canonical key of
+// its seed set, atomically. The seeds must be the ones sp was built from.
+func (c *Cache) StoreSubSpace(sp *statespace.Space, seeds []int64) error {
 	if c == nil {
 		return nil
 	}
-	key := SubKey(ss.Alg, ss.Pol, seeds)
-	err := c.atomicWrite(c.subPath(key), ss)
+	key := SubKey(sp.Alg, sp.Pol, seeds)
+	return c.store(c.subPath(key), "subspace", key, sp)
+}
+
+// store is the body of both Store methods.
+func (c *Cache) store(path, kind, key string, sp *statespace.Space) error {
+	err := c.atomicWrite(path, sp)
 	if err == nil {
-		observeStore(obs.Default(), "subspace", key)
+		observeStore(obs.Default(), kind, key)
 	}
 	return err
 }
 
-// BuildSpace is statespace.Build behind the cache: a hit loads the space
-// without touching the algorithm at all; a miss explores and persists the
-// result. hit reports which path ran. A failed store (full or read-only
-// disk) is deliberately not an error — the built space is valid and is
-// returned; the next run simply misses again. The cache never turns a
-// successful analysis into a failure, only a slower one.
-func (c *Cache) BuildSpace(a protocol.Algorithm, pol scheduler.Policy, opt statespace.Options) (sp *statespace.Space, hit bool, err error) {
-	return c.BuildSpaceContext(context.Background(), a, pol, opt)
-}
-
-// BuildSpaceContext is BuildSpace with cooperative cancellation of the
-// exploration (statespace.BuildContext semantics). A cancelled build
-// stores nothing — the cache only ever sees completed spaces, and the
-// atomic temp-and-rename write means no partial entry can appear even on
-// a crash.
+// BuildSpaceContext is statespace.BuildContext behind the cache: a hit
+// loads the space without touching the algorithm at all; a miss explores
+// and persists the result. hit reports which path ran. A failed store
+// (full or read-only disk) is deliberately not an error — the built space
+// is valid and is returned; the next run simply misses again. The cache
+// never turns a successful analysis into a failure, only a slower one. A
+// cancelled build stores nothing — the cache only ever sees completed
+// spaces, and the atomic temp-and-rename write means no partial entry can
+// appear even on a crash.
 func (c *Cache) BuildSpaceContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, opt statespace.Options) (sp *statespace.Space, hit bool, err error) {
 	if sp, ok := c.LoadSpace(a, pol, opt); ok {
 		return sp, true, nil
@@ -369,36 +343,24 @@ func (c *Cache) BuildSpaceContext(ctx context.Context, a protocol.Algorithm, pol
 	return sp, false, nil
 }
 
-// BuildSubSpace is statespace.BuildFrom behind the cache, with the same
-// contract as BuildSpace.
-func (c *Cache) BuildSubSpace(a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (ss *statespace.SubSpace, hit bool, err error) {
-	return c.BuildSubSpaceContext(context.Background(), a, pol, seeds, opt)
-}
-
-// BuildSubSpaceContext is BuildSubSpace with BuildSpaceContext's
-// cancellation and no-partial-entry contract.
-func (c *Cache) BuildSubSpaceContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (ss *statespace.SubSpace, hit bool, err error) {
-	if ss, ok := c.LoadSubSpace(a, pol, seeds, opt); ok {
-		return ss, true, nil
+// BuildSubSpaceContext is statespace.BuildFromContext behind the cache,
+// with BuildSpaceContext's contract.
+func (c *Cache) BuildSubSpaceContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (sp *statespace.Space, hit bool, err error) {
+	if sp, ok := c.LoadSubSpace(a, pol, seeds, opt); ok {
+		return sp, true, nil
 	}
-	ss, err = statespace.BuildFromContext(ctx, a, pol, seeds, opt)
+	sp, err = statespace.BuildFromContext(ctx, a, pol, seeds, opt)
 	if err != nil {
 		return nil, false, err
 	}
-	_ = c.StoreSubSpace(ss, seeds) // best-effort persistence
-	return ss, false, nil
+	_ = c.StoreSubSpace(sp, seeds) // best-effort persistence
+	return sp, false, nil
 }
 
-// BuildSubSpaceFromConfigs is BuildSubSpace with the seed set given as
-// configurations, validated and encoded by the same shared helper
-// statespace.BuildFromConfigs uses.
-func (c *Cache) BuildSubSpaceFromConfigs(a protocol.Algorithm, pol scheduler.Policy, cfgs []protocol.Configuration, opt statespace.Options) (*statespace.SubSpace, bool, error) {
-	return c.BuildSubSpaceFromConfigsContext(context.Background(), a, pol, cfgs, opt)
-}
-
-// BuildSubSpaceFromConfigsContext is BuildSubSpaceFromConfigs with
-// BuildSpaceContext's cancellation and no-partial-entry contract.
-func (c *Cache) BuildSubSpaceFromConfigsContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, cfgs []protocol.Configuration, opt statespace.Options) (*statespace.SubSpace, bool, error) {
+// BuildSubSpaceFromConfigsContext is BuildSubSpaceContext with the seed
+// set given as configurations, validated and encoded by the same shared
+// helper statespace.BuildFromConfigsContext uses.
+func (c *Cache) BuildSubSpaceFromConfigsContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, cfgs []protocol.Configuration, opt statespace.Options) (*statespace.Space, bool, error) {
 	seeds, err := statespace.EncodeConfigs(a, cfgs)
 	if err != nil {
 		return nil, false, err

@@ -1,6 +1,7 @@
 package spacecache
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"slices"
@@ -118,7 +119,7 @@ func TestBuildSpaceMissThenHit(t *testing.T) {
 	a := &countingAlg{Algorithm: ring(t, 5)}
 	pol := scheduler.CentralPolicy{}
 
-	cold, hit, err := c.BuildSpace(a, pol, statespace.Options{})
+	cold, hit, err := c.BuildSpaceContext(context.Background(), a, pol, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestBuildSpaceMissThenHit(t *testing.T) {
 		t.Fatal("cold build must explore")
 	}
 
-	warm, hit, err := c.BuildSpace(a, pol, statespace.Options{})
+	warm, hit, err := c.BuildSpaceContext(context.Background(), a, pol, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,14 +165,14 @@ func TestBuildSubSpaceMissThenHit(t *testing.T) {
 	pol := scheduler.DistributedPolicy{}
 	seeds := []int64{0, 7, 11}
 
-	cold, hit, err := c.BuildSubSpace(a, pol, seeds, statespace.Options{})
+	cold, hit, err := c.BuildSubSpaceContext(context.Background(), a, pol, seeds, statespace.Options{})
 	if err != nil || hit {
 		t.Fatalf("cold: hit=%v err=%v", hit, err)
 	}
 	coldCalls := a.calls.Load()
 
 	// Same set, different order and duplicates: still a hit.
-	warm, hit, err := c.BuildSubSpace(a, pol, []int64{11, 0, 7, 7}, statespace.Options{})
+	warm, hit, err := c.BuildSubSpaceContext(context.Background(), a, pol, []int64{11, 0, 7, 7}, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestBuildSubSpaceMissThenHit(t *testing.T) {
 	}
 
 	// A different seed set is a clean miss.
-	if _, hit, err := c.BuildSubSpace(a, pol, []int64{0, 7}, statespace.Options{}); err != nil || hit {
+	if _, hit, err := c.BuildSubSpaceContext(context.Background(), a, pol, []int64{0, 7}, statespace.Options{}); err != nil || hit {
 		t.Fatalf("different seed set: hit=%v err=%v", hit, err)
 	}
 }
@@ -201,17 +202,17 @@ func TestBuildSubSpaceMissThenHit(t *testing.T) {
 func TestStaleKeyMiss(t *testing.T) {
 	c := openTemp(t)
 	pol := scheduler.CentralPolicy{}
-	if _, hit, err := c.BuildSpace(ring(t, 5), pol, statespace.Options{}); err != nil || hit {
+	if _, hit, err := c.BuildSpaceContext(context.Background(), ring(t, 5), pol, statespace.Options{}); err != nil || hit {
 		t.Fatalf("prime: hit=%v err=%v", hit, err)
 	}
-	if _, hit, err := c.BuildSpace(ring(t, 6), pol, statespace.Options{}); err != nil || hit {
+	if _, hit, err := c.BuildSpaceContext(context.Background(), ring(t, 6), pol, statespace.Options{}); err != nil || hit {
 		t.Fatalf("n=6 after caching n=5 must miss, hit=%v err=%v", hit, err)
 	}
-	if _, hit, err := c.BuildSpace(ring(t, 5), scheduler.SynchronousPolicy{}, statespace.Options{}); err != nil || hit {
+	if _, hit, err := c.BuildSpaceContext(context.Background(), ring(t, 5), scheduler.SynchronousPolicy{}, statespace.Options{}); err != nil || hit {
 		t.Fatalf("other policy must miss, hit=%v err=%v", hit, err)
 	}
 	// The original triple still hits.
-	if _, hit, err := c.BuildSpace(ring(t, 5), pol, statespace.Options{}); err != nil || !hit {
+	if _, hit, err := c.BuildSpaceContext(context.Background(), ring(t, 5), pol, statespace.Options{}); err != nil || !hit {
 		t.Fatalf("original instance must still hit, hit=%v err=%v", hit, err)
 	}
 }
@@ -223,7 +224,7 @@ func TestCorruptEntryRebuildsAndRepairs(t *testing.T) {
 	c := openTemp(t)
 	a := ring(t, 5)
 	pol := scheduler.CentralPolicy{}
-	ref, _, err := c.BuildSpace(a, pol, statespace.Options{})
+	ref, _, err := c.BuildSpaceContext(context.Background(), a, pol, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +242,7 @@ func TestCorruptEntryRebuildsAndRepairs(t *testing.T) {
 		if err := os.WriteFile(path, mutate(slices.Clone(data)), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		sp, hit, err := c.BuildSpace(a, pol, statespace.Options{})
+		sp, hit, err := c.BuildSpaceContext(context.Background(), a, pol, statespace.Options{})
 		if err != nil {
 			t.Fatalf("%s: rebuild failed: %v", name, err)
 		}
@@ -250,8 +251,51 @@ func TestCorruptEntryRebuildsAndRepairs(t *testing.T) {
 		}
 		assertSameSpace(t, ref, sp)
 		// The rebuild must have repaired the entry.
-		if _, hit, err := c.BuildSpace(a, pol, statespace.Options{}); err != nil || !hit {
+		if _, hit, err := c.BuildSpaceContext(context.Background(), a, pol, statespace.Options{}); err != nil || !hit {
 			t.Fatalf("%s: entry not repaired after rebuild, hit=%v err=%v", name, hit, err)
+		}
+	}
+}
+
+// TestWrongKindEntryMisses pins the entry-kind check: a .space file
+// holding a frontier stream, or a .subspace file holding a full-space
+// stream, is a miss on both load paths — the bytes are valid, but not the
+// kind of system the key names.
+func TestWrongKindEntryMisses(t *testing.T) {
+	a := ring(t, 5)
+	pol := scheduler.CentralPolicy{}
+	seeds := []int64{0, 7}
+	for _, mmap := range []bool{true, false} {
+		c := openTemp(t)
+		c.SetMmap(mmap)
+		ctx := context.Background()
+		if _, _, err := c.BuildSpaceContext(ctx, a, pol, statespace.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.BuildSubSpaceContext(ctx, a, pol, seeds, statespace.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		fullPath := filepath.Join(c.Dir(), Key(a, pol)+".space")
+		subPath := filepath.Join(c.Dir(), SubKey(a, pol, seeds)+".subspace")
+		full, err := os.ReadFile(fullPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub, err := os.ReadFile(subPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(fullPath, sub, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(subPath, full, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if sp, hit := c.LoadSpace(a, pol, statespace.Options{}); hit {
+			t.Fatalf("mmap=%v: frontier stream served as a full space (%d states)", mmap, sp.NumStates())
+		}
+		if sp, hit := c.LoadSubSpace(a, pol, seeds, statespace.Options{}); hit {
+			t.Fatalf("mmap=%v: full-space stream served as a frontier space (%d states)", mmap, sp.NumStates())
 		}
 	}
 }
@@ -262,14 +306,14 @@ func TestLoadRespectsStateCap(t *testing.T) {
 	c := openTemp(t)
 	a := ring(t, 5)
 	pol := scheduler.CentralPolicy{}
-	sp, _, err := c.BuildSpace(a, pol, statespace.Options{})
+	sp, _, err := c.BuildSpaceContext(context.Background(), a, pol, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.LoadSpace(a, pol, statespace.Options{MaxStates: int64(sp.States) - 1}); ok {
 		t.Fatal("cached space beyond the caller's cap must not load")
 	}
-	if _, _, err := c.BuildSpace(a, pol, statespace.Options{MaxStates: int64(sp.States) - 1}); err == nil {
+	if _, _, err := c.BuildSpaceContext(context.Background(), a, pol, statespace.Options{MaxStates: int64(sp.States) - 1}); err == nil {
 		t.Fatal("rebuild under the tighter cap must fail like an uncached build")
 	}
 	if _, ok := c.LoadSpace(a, pol, statespace.Options{MaxStates: int64(sp.States)}); !ok {
@@ -282,14 +326,14 @@ func TestLoadRespectsStateCap(t *testing.T) {
 // cache can never turn a successful analysis into a failure.
 func TestStoreFailureDoesNotFailBuild(t *testing.T) {
 	c := &Cache{dir: "/dev/null/not-a-directory"} // every CreateTemp fails
-	sp, hit, err := c.BuildSpace(ring(t, 4), scheduler.CentralPolicy{}, statespace.Options{})
+	sp, hit, err := c.BuildSpaceContext(context.Background(), ring(t, 4), scheduler.CentralPolicy{}, statespace.Options{})
 	if err != nil {
 		t.Fatalf("store failure surfaced as a build error: %v", err)
 	}
 	if hit || sp == nil {
 		t.Fatalf("expected a fresh build, got hit=%v sp=%v", hit, sp != nil)
 	}
-	ss, hit, err := c.BuildSubSpace(ring(t, 4), scheduler.CentralPolicy{}, []int64{0}, statespace.Options{})
+	ss, hit, err := c.BuildSubSpaceContext(context.Background(), ring(t, 4), scheduler.CentralPolicy{}, []int64{0}, statespace.Options{})
 	if err != nil || hit || ss == nil {
 		t.Fatalf("subspace path: hit=%v err=%v", hit, err)
 	}
@@ -301,14 +345,14 @@ func TestStoreFailureDoesNotFailBuild(t *testing.T) {
 
 func TestNilCacheBuilds(t *testing.T) {
 	var c *Cache // also what Open("") returns
-	sp, hit, err := c.BuildSpace(ring(t, 4), scheduler.CentralPolicy{}, statespace.Options{})
+	sp, hit, err := c.BuildSpaceContext(context.Background(), ring(t, 4), scheduler.CentralPolicy{}, statespace.Options{})
 	if err != nil || hit || sp == nil {
 		t.Fatalf("nil cache must plain-build: sp=%v hit=%v err=%v", sp != nil, hit, err)
 	}
 	if c2, err := Open(""); c2 != nil || err != nil {
 		t.Fatalf(`Open("") = %v, %v; want nil no-op cache`, c2, err)
 	}
-	if _, hit, err := c.BuildSubSpace(ring(t, 4), scheduler.CentralPolicy{}, []int64{0}, statespace.Options{}); err != nil || hit {
+	if _, hit, err := c.BuildSubSpaceContext(context.Background(), ring(t, 4), scheduler.CentralPolicy{}, []int64{0}, statespace.Options{}); err != nil || hit {
 		t.Fatalf("nil cache subspace: hit=%v err=%v", hit, err)
 	}
 }
@@ -322,7 +366,7 @@ func TestTrustedWarmLoadsStayCorrect(t *testing.T) {
 	c := openTemp(t)
 	a := ring(t, 5)
 	pol := scheduler.CentralPolicy{}
-	ref, _, err := c.BuildSpace(a, pol, statespace.Options{})
+	ref, _, err := c.BuildSpaceContext(context.Background(), a, pol, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,20 +1,21 @@
-// The resumable face of the frontier engine. BuildFrom answers one-shot
-// questions — "explore the closure of this seed set" — but the k-fault
-// sweeps of the checker grow their seed set incrementally: the distance-
-// (k+1) ball is the distance-k ball plus one shell. Re-running BuildFrom
-// per k re-explores the shared interior every time. Builder keeps the
-// exploration state alive between seed waves instead: Extend adds seeds
-// and explores exactly the states not yet discovered, and Seal snapshots
-// the current closure as a canonical SubSpace without disturbing the
-// builder — so a k=0..kmax sweep pays for one exploration of the final
-// closure, total, while still observing a sealed subspace at every k.
+// The resumable face of the frontier engine. BuildFromContext answers
+// one-shot questions — "explore the closure of this seed set" — but the
+// k-fault sweeps of the checker grow their seed set incrementally: the
+// distance-(k+1) ball is the distance-k ball plus one shell. Re-running
+// BuildFromContext per k re-explores the shared interior every time.
+// Builder keeps the exploration state alive between seed waves instead:
+// ExtendContext adds seeds and explores exactly the states not yet
+// discovered, and Seal snapshots the current closure as a canonical
+// frontier Space without disturbing the builder — so a k=0..kmax sweep pays
+// for one exploration of the final closure, total, while still observing a
+// sealed subspace at every k.
 //
 // Sealing canonicalizes a *copy*: the builder's own table and CSR stay in
-// discovery order, which is what makes further Extend calls valid. Because
-// a SubSpace is a pure function of (algorithm, policy, seed set) —
+// discovery order, which is what makes further extensions valid. Because a
+// frontier Space is a pure function of (algorithm, policy, seed set) —
 // canonicalization erases discovery order — a sealed snapshot is
-// bit-identical to BuildFrom over the union of all seed waves, which the
-// parity tests pin.
+// bit-identical to BuildFromContext over the union of all seed waves,
+// which the parity tests pin.
 package statespace
 
 import (
@@ -29,7 +30,8 @@ import (
 	"weakstab/internal/scheduler"
 )
 
-// Builder is a resumable frontier exploration: a BuildFrom whose seed set
+// Builder is a resumable frontier exploration: a BuildFromContext whose
+// seed set
 // can grow between explorations. The zero value is not usable; call
 // NewBuilder or ResumeFrom.
 type Builder struct {
@@ -46,7 +48,8 @@ type Builder struct {
 	legit []bool
 	// explored counts the states whose successor rows are already in the
 	// CSR; states [explored, table.Len()) are the pending BFS frontier.
-	// Extend restores the invariant explored == table.Len() (closure).
+	// ExtendContext restores the invariant explored == table.Len()
+	// (closure).
 	explored int
 
 	// o and shell instrument the exploration: one frontier.shell event
@@ -60,8 +63,8 @@ type Builder struct {
 }
 
 // NewBuilder returns an empty resumable exploration of a's configuration
-// space under pol. opt has BuildFrom's semantics: MaxStates caps the total
-// number of discovered states across all Extend calls (0 means
+// space under pol. opt has BuildFromContext's semantics: MaxStates caps
+// the total number of discovered states across all extensions (0 means
 // DefaultMaxStates), and the explored closure is deterministic and
 // independent of opt.Workers.
 func NewBuilder(a protocol.Algorithm, pol scheduler.Policy, opt Options) (*Builder, error) {
@@ -84,27 +87,28 @@ func NewBuilder(a protocol.Algorithm, pol scheduler.Policy, opt Options) (*Build
 }
 
 // ResumeFrom returns a builder whose already-explored closure is a deep
-// copy of the sealed subspace ss — the resume path of incremental sweeps
-// whose earlier radii were loaded from an on-disk cache rather than
-// explored in this process. ss is not touched or aliased: the builder can
-// grow while the subspace keeps serving analyses. ss must be closed under
-// successors, which every SubSpace produced by BuildFrom, Seal or
-// ReadSubSpace is.
-func ResumeFrom(ss *SubSpace, opt Options) (*Builder, error) {
-	b, err := NewBuilder(ss.Alg, ss.Pol, opt)
+// copy of sp — the resume path of incremental sweeps whose earlier radii
+// were loaded from an on-disk cache rather than explored in this process.
+// sp is not touched or aliased: the builder can grow while the space keeps
+// serving analyses. sp must be closed under successors, which every Space
+// is.
+func ResumeFrom(sp *Space, opt Options) (*Builder, error) {
+	b, err := NewBuilder(sp.Alg, sp.Pol, opt)
 	if err != nil {
 		return nil, err
 	}
-	if int64(ss.States) > b.maxStates {
-		return nil, fmt.Errorf("statespace: resumed subspace of %d states exceeds the %d-state cap", ss.States, b.maxStates)
+	if int64(sp.States) > b.maxStates {
+		return nil, fmt.Errorf("statespace: resumed space of %d states exceeds the %d-state cap", sp.States, b.maxStates)
 	}
-	off, succ, prob := ss.CSR()
-	b.off = slices.Clone(off)
-	b.succ = slices.Clone(succ)
-	b.prob = slices.Clone(prob)
-	b.legit = slices.Clone(ss.Legit)
-	b.table = NewDedupFromGlobals(b.enc.Total(), ss.Globals())
-	b.explored = ss.States
+	b.off = slices.Clone(sp.off)
+	b.succ = slices.Clone(sp.succ)
+	b.prob = slices.Clone(sp.prob)
+	b.legit = slices.Clone(sp.Legit)
+	b.table = NewDedup(b.enc.Total())
+	for s := range sp.States {
+		b.table.Add(sp.GlobalIndex(s))
+	}
+	b.explored = sp.States
 	return b, nil
 }
 
@@ -133,7 +137,7 @@ func (b *Builder) addSeeds(seeds []int64) error {
 }
 
 // explore runs the level-synchronous parallel BFS until the discovered set
-// is closed under successors — the loop of BuildFrom, resuming from
+// is closed under successors — the loop of BuildFromContext, resuming from
 // whatever was explored before. ctx is checked once per BFS shell (between
 // the serial stitch of one level and the parallel expansion of the next),
 // so a cancelled exploration stops at the next shell boundary. On error
@@ -249,17 +253,12 @@ func (b *Builder) explore(ctx context.Context) error {
 	return nil
 }
 
-// Extend admits the seed globals and explores their forward closure,
-// growing the discovered set by exactly the states not already known. A
-// seed that was already discovered costs nothing. On error the builder is
-// no longer usable.
-func (b *Builder) Extend(seeds []int64) error {
-	return b.ExtendContext(context.Background(), seeds)
-}
-
-// ExtendContext is Extend with cooperative cancellation: ctx is checked at
-// every BFS shell boundary, so a cancelled extension returns an error
-// wrapping ctx.Err() without finishing the closure.
+// ExtendContext admits the seed globals and explores their forward
+// closure, growing the discovered set by exactly the states not already
+// known. A seed that was already discovered costs nothing. ctx is checked
+// at every BFS shell boundary, so a cancelled extension returns an error
+// wrapping ctx.Err() without finishing the closure. On error the builder
+// is no longer usable.
 func (b *Builder) ExtendContext(ctx context.Context, seeds []int64) error {
 	before := b.table.Len()
 	if err := b.addSeeds(seeds); err != nil {
@@ -271,21 +270,22 @@ func (b *Builder) ExtendContext(ctx context.Context, seeds []int64) error {
 	return b.explore(ctx)
 }
 
-// Seal snapshots the current closure as a canonical SubSpace — local ids
-// in ascending-global order, bit-identical to BuildFrom over the union of
-// every seed set extended so far. The snapshot is independent of the
-// builder: later Extend calls grow the builder without disturbing it.
-// Sealing an empty builder (no seeds ever admitted) returns nil.
-func (b *Builder) Seal() *SubSpace { return b.seal(false) }
+// Seal snapshots the current closure as a canonical frontier Space —
+// local ids in ascending-global order, bit-identical to BuildFromContext
+// over the union of every seed set extended so far. The snapshot is
+// independent of the builder: later extensions grow the builder without
+// disturbing it. Sealing an empty builder (no seeds ever admitted)
+// returns nil.
+func (b *Builder) Seal() *Space { return b.seal(false) }
 
-// seal builds the canonical SubSpace; with move=true it takes ownership of
-// the builder's arrays instead of copying (the one-shot BuildFrom path —
-// the builder must not be used afterwards).
-func (b *Builder) seal(move bool) *SubSpace {
+// seal builds the canonical frontier Space; with move=true it takes
+// ownership of the builder's arrays instead of copying (the one-shot
+// BuildFromContext path — the builder must not be used afterwards).
+func (b *Builder) seal(move bool) *Space {
 	if b.table.Len() == 0 {
 		return nil
 	}
-	ss := &SubSpace{
+	sp := &Space{
 		Alg:     b.alg,
 		Pol:     b.pol,
 		Enc:     b.enc,
@@ -293,9 +293,9 @@ func (b *Builder) seal(move bool) *SubSpace {
 		Workers: b.workers,
 	}
 	if move {
-		ss.off, ss.succ, ss.prob, ss.Legit, ss.table = b.off, b.succ, b.prob, b.legit, b.table
-		ss.canonicalize()
-		return ss
+		sp.off, sp.succ, sp.prob, sp.Legit, sp.table = b.off, b.succ, b.prob, b.legit, b.table
+		sp.canonicalize()
+		return sp
 	}
 	// Snapshot path: permute the discovery-order arrays straight into
 	// fresh canonical storage — one pass, no in-place renumbering — and
@@ -304,11 +304,11 @@ func (b *Builder) seal(move bool) *SubSpace {
 	// The builder's own discovery-order state is untouched.
 	globals := b.table.Globals()
 	order := canonicalOrder(globals)
-	ss.off, ss.succ, ss.prob, ss.Legit = permuteCSR(order, b.off, b.succ, b.prob, b.legit)
+	sp.off, sp.succ, sp.prob, sp.Legit = permuteCSR(order, b.off, b.succ, b.prob, b.legit)
 	sorted := make([]int64, len(order))
 	for newID, old := range order {
 		sorted[newID] = globals[old]
 	}
-	ss.table = NewSortedDedup(sorted)
-	return ss
+	sp.table = NewSortedDedup(sorted)
+	return sp
 }

@@ -1,6 +1,7 @@
 package statespace
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 
 // TestBuilderWavesMatchBuildFrom pins the resumable engine's core
 // property: extending a Builder with seed waves yields, at every seal,
-// exactly the subspace BuildFrom produces from the union of the waves so
+// exactly the subspace BuildFromContext produces from the union of the waves so
 // far — arrays bit-equal, across worker counts and policies.
 func TestBuilderWavesMatchBuildFrom(t *testing.T) {
 	a, err := tokenring.New(5)
@@ -31,16 +32,16 @@ func TestBuilderWavesMatchBuildFrom(t *testing.T) {
 			}
 			var union []int64
 			for w, wave := range waves {
-				if err := b.Extend(wave); err != nil {
+				if err := b.ExtendContext(context.Background(), wave); err != nil {
 					t.Fatal(err)
 				}
 				union = append(union, wave...)
 				got := b.Seal()
-				want, err := BuildFrom(a, pol, union, opt)
+				want, err := BuildFromContext(context.Background(), a, pol, union, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertSubSpaceEqual(t, want, got)
+				assertSpaceEqual(t, want, got)
 				if b.Len() != got.NumStates() {
 					t.Fatalf("wave %d: builder holds %d states, sealed %d", w, b.Len(), got.NumStates())
 				}
@@ -61,20 +62,20 @@ func TestBuilderSealIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Extend([]int64{0}); err != nil {
+	if err := b.ExtendContext(context.Background(), []int64{0}); err != nil {
 		t.Fatal(err)
 	}
 	first := b.Seal()
-	want, err := BuildFrom(a, pol, []int64{0}, Options{})
+	want, err := BuildFromContext(context.Background(), a, pol, []int64{0}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Extend([]int64{7, 21, 30}); err != nil {
+	if err := b.ExtendContext(context.Background(), []int64{7, 21, 30}); err != nil {
 		t.Fatal(err)
 	}
 	_ = b.Seal()
 	// The first snapshot still equals the from-scratch build of its seeds.
-	assertSubSpaceEqual(t, want, first)
+	assertSpaceEqual(t, want, first)
 	// And it still answers queries through its own table.
 	if _, ok := first.StateOf(want.Config(0)); !ok {
 		t.Fatal("sealed snapshot lost its state lookup after builder growth")
@@ -90,11 +91,11 @@ func TestBuilderResumeFrom(t *testing.T) {
 		t.Fatal(err)
 	}
 	pol := scheduler.DistributedPolicy{}
-	base, err := BuildFrom(a, pol, []int64{0, 3}, Options{})
+	base, err := BuildFromContext(context.Background(), a, pol, []int64{0, 3}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := BuildFrom(a, pol, []int64{0, 3}, Options{})
+	ref, err := BuildFromContext(context.Background(), a, pol, []int64{0, 3}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,28 +106,28 @@ func TestBuilderResumeFrom(t *testing.T) {
 	if rb.Len() != base.NumStates() {
 		t.Fatalf("resumed builder holds %d states, want %d", rb.Len(), base.NumStates())
 	}
-	if err := rb.Extend([]int64{11, 29}); err != nil {
+	if err := rb.ExtendContext(context.Background(), []int64{11, 29}); err != nil {
 		t.Fatal(err)
 	}
 	got := rb.Seal()
-	want, err := BuildFrom(a, pol, []int64{0, 3, 11, 29}, Options{})
+	want, err := BuildFromContext(context.Background(), a, pol, []int64{0, 3, 11, 29}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSubSpaceEqual(t, want, got)
+	assertSpaceEqual(t, want, got)
 	// The adopted subspace must be untouched by the growth.
-	assertSubSpaceEqual(t, ref, base)
+	assertSpaceEqual(t, ref, base)
 }
 
 // TestBuilderCapSemantics pins the inclusive cap across waves: the cap
-// counts every discovered state since NewBuilder, not per Extend.
+// counts every discovered state since NewBuilder, not per extension.
 func TestBuilderCapSemantics(t *testing.T) {
 	a, err := tokenring.New(6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pol := scheduler.CentralPolicy{}
-	full, err := BuildFrom(a, pol, []int64{0}, Options{})
+	full, err := BuildFromContext(context.Background(), a, pol, []int64{0}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestBuilderCapSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Extend([]int64{0}); err != nil {
+	if err := b.ExtendContext(context.Background(), []int64{0}); err != nil {
 		t.Fatalf("cap of exactly %d states must admit the closure: %v", n, err)
 	}
 	// One fewer: the exploration fails with the cap error.
@@ -144,7 +145,7 @@ func TestBuilderCapSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Extend([]int64{0}); err == nil || !strings.Contains(err.Error(), "cap") {
+	if err := b.ExtendContext(context.Background(), []int64{0}); err == nil || !strings.Contains(err.Error(), "cap") {
 		t.Fatalf("cap of %d states on a %d-state closure: err=%v", n-1, n, err)
 	}
 	// ResumeFrom under a too-small cap is rejected up front.

@@ -1,6 +1,7 @@
 package statespace
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -36,7 +37,7 @@ func TestBuildFromCapBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	pol := scheduler.CentralPolicy{}
-	full, err := Build(ring, pol, Options{})
+	full, err := BuildContext(context.Background(), ring, pol, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestBuildFromCapBoundary(t *testing.T) {
 			break
 		}
 	}
-	ref, err := BuildFrom(ring, pol, seeds, Options{})
+	ref, err := BuildFromContext(context.Background(), ring, pol, seeds, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestBuildFromCapBoundary(t *testing.T) {
 	}
 
 	for _, cap := range []int64{S, S + 1} {
-		ss, err := BuildFrom(ring, pol, seeds, Options{MaxStates: cap})
+		ss, err := BuildFromContext(context.Background(), ring, pol, seeds, Options{MaxStates: cap})
 		if err != nil {
 			t.Fatalf("MaxStates=%d (closure is exactly %d states): %v", cap, S, err)
 		}
@@ -67,17 +68,17 @@ func TestBuildFromCapBoundary(t *testing.T) {
 			t.Fatalf("MaxStates=%d: explored %d states, want %d", cap, ss.NumStates(), S)
 		}
 	}
-	if _, err := BuildFrom(ring, pol, seeds, Options{MaxStates: S - 1}); err == nil ||
+	if _, err := BuildFromContext(context.Background(), ring, pol, seeds, Options{MaxStates: S - 1}); err == nil ||
 		!strings.Contains(err.Error(), "cap") {
 		t.Fatalf("MaxStates=%d must fail on a %d-state closure, got err=%v", S-1, S, err)
 	}
 
 	// Seed admission boundary: exactly MaxStates distinct seeds pass the
 	// admission check (the closure then fails only if it must grow).
-	if _, err := BuildFrom(ring, pol, ref.Globals(), Options{MaxStates: S}); err != nil {
+	if _, err := BuildFromContext(context.Background(), ring, pol, ref.Globals(), Options{MaxStates: S}); err != nil {
 		t.Fatalf("seed set of exactly MaxStates=%d rejected: %v", S, err)
 	}
-	if _, err := BuildFrom(ring, pol, ref.Globals(), Options{MaxStates: S - 1}); err == nil {
+	if _, err := BuildFromContext(context.Background(), ring, pol, ref.Globals(), Options{MaxStates: S - 1}); err == nil {
 		t.Fatalf("%d seeds must exceed the %d-state cap", S, S-1)
 	}
 }
@@ -94,12 +95,12 @@ func TestBuildCapBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := enc.Total()
-	if sp, err := Build(ring, scheduler.CentralPolicy{}, Options{MaxStates: total}); err != nil {
+	if sp, err := BuildContext(context.Background(), ring, scheduler.CentralPolicy{}, Options{MaxStates: total}); err != nil {
 		t.Fatalf("MaxStates=%d on a %d-configuration space: %v", total, total, err)
 	} else if int64(sp.NumStates()) != total {
 		t.Fatalf("explored %d states, want %d", sp.NumStates(), total)
 	}
-	if _, err := Build(ring, scheduler.CentralPolicy{}, Options{MaxStates: total - 1}); err == nil {
+	if _, err := BuildContext(context.Background(), ring, scheduler.CentralPolicy{}, Options{MaxStates: total - 1}); err == nil {
 		t.Fatalf("MaxStates=%d must fail on a %d-configuration space", total-1, total)
 	}
 }

@@ -1,7 +1,7 @@
 package statespace
 
 // Dedup assigns dense local ids to sparse global configuration indexes —
-// the visited set of every frontier exploration (BuildFrom's reachable
+// the visited set of every frontier exploration (BuildFromContext's reachable
 // subspaces, the checker's fault-ball enumeration). Small index ranges get
 // a dense int32 array (one probe, no hashing); large ranges get a sharded
 // hash table whose memory is proportional to the number of *discovered*
@@ -112,9 +112,9 @@ func (d *Dedup) Add(g int64) int32 {
 }
 
 // NewDedupFromGlobals rebuilds a growable table over [0, total) whose id
-// order is exactly the given global list (id i -> globals[i]). The
-// resumable frontier Builder uses it to re-adopt a sealed subspace it will
-// keep growing; the list must be duplicate-free.
+// order is exactly the given global list (id i -> globals[i]) — for
+// callers that re-adopt a sealed set they will keep growing, such as the
+// checker's resumed fault ball. The list must be duplicate-free.
 func NewDedupFromGlobals(total int64, globals []int64) *Dedup {
 	d := NewDedup(total)
 	for _, g := range globals {

@@ -1,6 +1,8 @@
 package statespace
 
 import (
+	"context"
+	"slices"
 	"testing"
 
 	"weakstab/internal/algorithms/dijkstra"
@@ -65,12 +67,12 @@ func allSeeds(total int64) []int64 {
 // algorithm × policy × worker count.
 func TestBuildFromAllSeedsMatchesBuild(t *testing.T) {
 	for _, tc := range frontierMatrix(t) {
-		full, err := Build(tc.alg, tc.pol, Options{})
+		full, err := BuildContext(context.Background(), tc.alg, tc.pol, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		for _, workers := range []int{1, 3, 8} {
-			ss, err := BuildFrom(tc.alg, tc.pol, allSeeds(full.Enc.Total()), Options{Workers: workers})
+			ss, err := BuildFromContext(context.Background(), tc.alg, tc.pol, allSeeds(full.Enc.Total()), Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("%s w=%d: %v", tc.name, workers, err)
 			}
@@ -132,7 +134,7 @@ func reachableFrom(full *Space, seeds []int64) map[int64]bool {
 // a small mixed set.
 func TestBuildFromSubsetParity(t *testing.T) {
 	for _, tc := range frontierMatrix(t) {
-		full, err := Build(tc.alg, tc.pol, Options{})
+		full, err := BuildContext(context.Background(), tc.alg, tc.pol, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -153,7 +155,7 @@ func TestBuildFromSubsetParity(t *testing.T) {
 		for si, seeds := range seedSets {
 			want := reachableFrom(full, seeds)
 			for _, workers := range []int{1, 4} {
-				ss, err := BuildFrom(tc.alg, tc.pol, seeds, Options{Workers: workers})
+				ss, err := BuildFromContext(context.Background(), tc.alg, tc.pol, seeds, Options{Workers: workers})
 				if err != nil {
 					t.Fatalf("%s seeds#%d w=%d: %v", tc.name, si, workers, err)
 				}
@@ -204,12 +206,12 @@ func TestBuildFromDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	seeds := []int64{7, 123, 4000}
-	base, err := BuildFrom(ring, scheduler.DistributedPolicy{}, seeds, Options{Workers: 1})
+	base, err := BuildFromContext(context.Background(), ring, scheduler.DistributedPolicy{}, seeds, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 5, 16} {
-		got, err := BuildFrom(ring, scheduler.DistributedPolicy{}, seeds, Options{Workers: workers})
+		got, err := BuildFromContext(context.Background(), ring, scheduler.DistributedPolicy{}, seeds, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,22 +245,22 @@ func TestBuildFromValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildFrom(ring, scheduler.CentralPolicy{}, nil, Options{}); err == nil {
+	if _, err := BuildFromContext(context.Background(), ring, scheduler.CentralPolicy{}, nil, Options{}); err == nil {
 		t.Fatal("empty seed set accepted")
 	}
-	if _, err := BuildFrom(ring, scheduler.CentralPolicy{}, []int64{-1}, Options{}); err == nil {
+	if _, err := BuildFromContext(context.Background(), ring, scheduler.CentralPolicy{}, []int64{-1}, Options{}); err == nil {
 		t.Fatal("negative seed accepted")
 	}
-	if _, err := BuildFrom(ring, scheduler.CentralPolicy{}, []int64{1 << 40}, Options{}); err == nil {
+	if _, err := BuildFromContext(context.Background(), ring, scheduler.CentralPolicy{}, []int64{1 << 40}, Options{}); err == nil {
 		t.Fatal("out-of-range seed accepted")
 	}
-	if _, err := BuildFrom(ring, scheduler.CentralPolicy{}, []int64{0}, Options{MaxStates: 4}); err == nil {
+	if _, err := BuildFromContext(context.Background(), ring, scheduler.CentralPolicy{}, []int64{0}, Options{MaxStates: 4}); err == nil {
 		t.Fatal("cap-exceeding exploration accepted")
 	}
-	if _, err := BuildFromConfigs(ring, scheduler.CentralPolicy{}, []protocol.Configuration{{0, 0}}, Options{}); err == nil {
+	if _, err := BuildFromConfigsContext(context.Background(), ring, scheduler.CentralPolicy{}, []protocol.Configuration{{0, 0}}, Options{}); err == nil {
 		t.Fatal("short seed configuration accepted")
 	}
-	if _, err := BuildFromConfigs(ring, scheduler.CentralPolicy{}, []protocol.Configuration{{0, 0, 0, 0, 9}}, Options{}); err == nil {
+	if _, err := BuildFromConfigsContext(context.Background(), ring, scheduler.CentralPolicy{}, []protocol.Configuration{{0, 0, 0, 0, 9}}, Options{}); err == nil {
 		t.Fatal("out-of-domain seed configuration accepted")
 	}
 }
@@ -276,11 +278,11 @@ func TestBuildFromConfigsMatchesBuildFrom(t *testing.T) {
 	}
 	cfgs := []protocol.Configuration{{1, 0, 1, 1, 0}, {0, 0, 0, 0, 0}}
 	seeds := []int64{enc.Encode(cfgs[0]), enc.Encode(cfgs[1])}
-	a, err := BuildFromConfigs(ring, scheduler.CentralPolicy{}, cfgs, Options{})
+	a, err := BuildFromConfigsContext(context.Background(), ring, scheduler.CentralPolicy{}, cfgs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildFrom(ring, scheduler.CentralPolicy{}, seeds, Options{})
+	b, err := BuildFromContext(context.Background(), ring, scheduler.CentralPolicy{}, seeds, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +298,7 @@ func TestSubSpaceStateOf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Build(ring, scheduler.CentralPolicy{}, Options{})
+	full, err := BuildContext(context.Background(), ring, scheduler.CentralPolicy{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +309,7 @@ func TestSubSpaceStateOf(t *testing.T) {
 			break
 		}
 	}
-	ss, err := BuildFrom(ring, scheduler.CentralPolicy{}, []int64{legitSeed}, Options{})
+	ss, err := BuildFromContext(context.Background(), ring, scheduler.CentralPolicy{}, []int64{legitSeed}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,6 +329,50 @@ func TestSubSpaceStateOf(t *testing.T) {
 		}
 		if ok && ss.GlobalIndex(int(l)) != int64(s) {
 			t.Fatalf("StateOf(%v) local %d maps back to %d", cfg, l, ss.GlobalIndex(int(l)))
+		}
+	}
+}
+
+// TestFullSpaceIdentityIndex pins the nil-table contract of a full space:
+// every global↔state conversion is the identity, out-of-range globals are
+// not states, and a builder resumed from a full space seals to the
+// frontier space of every configuration — the same rows under the
+// identity table.
+func TestFullSpaceIdentityIndex(t *testing.T) {
+	ring, err := tokenring.New(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := BuildContext(context.Background(), ring, scheduler.CentralPolicy{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Globals() != nil {
+		t.Fatal("full space carries a Globals vector")
+	}
+	for s := range full.States {
+		l, ok := full.StateOf(full.Config(s))
+		if full.GlobalIndex(s) != int64(s) || full.LocalIndex(int64(s)) != int32(s) || !ok || l != int32(s) {
+			t.Fatalf("state %d: global %d, local %d, StateOf (%d, %v)", s, full.GlobalIndex(s), full.LocalIndex(int64(s)), l, ok)
+		}
+	}
+	if full.LocalIndex(-1) != -1 || full.LocalIndex(int64(full.States)) != -1 {
+		t.Fatal("out-of-range global resolved to a state")
+	}
+	b, err := ResumeFrom(full, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed := b.Seal()
+	fo, fs, fp := full.CSR()
+	so, ss, sp := sealed.CSR()
+	if sealed.Globals() == nil || !slices.Equal(fo, so) || !slices.Equal(fs, ss) || !slices.Equal(fp, sp) ||
+		!slices.Equal(full.Legit, sealed.Legit) {
+		t.Fatal("resumed full space sealed to different rows")
+	}
+	for s := range sealed.States {
+		if sealed.GlobalIndex(s) != int64(s) {
+			t.Fatalf("sealed state %d has global %d", s, sealed.GlobalIndex(s))
 		}
 	}
 }

@@ -9,28 +9,30 @@
 // (page-aligned) buffer start, so the aliased slices are well-aligned by
 // construction, and the loader verifies it anyway. Only the bit-packed
 // legitimacy vector is decoded (it cannot alias []bool; at one bit per
-// state it is the cheapest section by far). The result is a Space or
-// SubSpace whose CSR arrays are backed by the page cache: an analysis
-// touches only the pages it actually reads.
+// state it is the cheapest section by far). The result is a Space — full
+// or frontier, whichever kind the bytes hold — whose CSR (and Globals)
+// arrays are backed by the page cache: an analysis touches only the pages
+// it actually reads.
 //
 // The byte order of the format is little-endian; on a big-endian host, or
-// when the buffer is not 8-byte aligned, MapSpace/MapSubSpace fail with
+// when the buffer is not 8-byte aligned, MapSpace fails with
 // ErrNotMappable and the caller falls back to the streaming decode path —
 // which produces bit-equal arrays, so the two paths are interchangeable
 // everywhere downstream.
 //
-// Ownership: a mapped system holds a reference-counted mapping. Analyses
+// Ownership: a mapped space holds a reference-counted mapping. Analyses
 // that must not race an unmap pin it with Acquire/Release; Close is
 // idempotent and defers the actual unmap until the last reference drops.
-// Materialize promotes a mapped system to ordinary heap arrays for callers
+// Materialize promotes a mapped space to ordinary heap arrays for callers
 // that outlive the mapping or mutate the arrays (copy-on-write, one copy).
+// All four are no-ops on a space that maps nothing, including a nil one,
+// so callers invoke them unconditionally.
 package statespace
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -110,14 +112,13 @@ func (m *mapping) close() error {
 
 // Mapped reports whether the space's CSR arrays alias an external mapped
 // buffer (loaded by MapSpace) rather than ordinary heap memory.
-func (sp *Space) Mapped() bool { return sp.mapped != nil }
+func (sp *Space) Mapped() bool { return sp != nil && sp.mapped != nil }
 
 // Acquire pins the mapped buffer backing the space so a concurrent Close
 // cannot unmap it mid-analysis; every Acquire must be paired with a
-// Release. On an unmapped space it is a no-op. It fails once the space has
-// been closed.
+// Release. It fails once the space has been closed.
 func (sp *Space) Acquire() error {
-	if sp.mapped == nil {
+	if !sp.Mapped() {
 		return nil
 	}
 	return sp.mapped.acquire()
@@ -126,7 +127,7 @@ func (sp *Space) Acquire() error {
 // Release undoes one Acquire. The last Release after a Close performs the
 // deferred unmap (and returns its error).
 func (sp *Space) Release() error {
-	if sp.mapped == nil {
+	if !sp.Mapped() {
 		return nil
 	}
 	return sp.mapped.release()
@@ -136,96 +137,42 @@ func (sp *Space) Release() error {
 // safe concurrently with pinned analyses: the unmap is deferred until the
 // last Acquire is released. After Close the space's CSR accessors must not
 // be used (unpinned) — callers needing the data past Close use Materialize
-// first. Close on an unmapped space is a no-op.
+// first.
 func (sp *Space) Close() error {
-	if sp.mapped == nil {
+	if !sp.Mapped() {
 		return nil
 	}
 	return sp.mapped.close()
 }
 
-// Materialize promotes a mapped space to ordinary heap arrays (one copy)
-// and closes the mapping, so the space outlives the buffer and its arrays
-// become safely mutable by owners that need that. It must not run
-// concurrently with other users of the space. On an unmapped space it is a
-// no-op.
+// Materialize promotes a mapped space to ordinary heap arrays (one copy of
+// the CSR and, for a frontier space, the Globals) and closes the mapping,
+// so the space outlives the buffer and its arrays become safely mutable by
+// owners that need that. It must not run concurrently with other users of
+// the space.
 func (sp *Space) Materialize() error {
-	if sp.mapped == nil {
+	if !sp.Mapped() {
 		return nil
 	}
 	sp.off = slices.Clone(sp.off)
 	sp.succ = slices.Clone(sp.succ)
 	sp.prob = slices.Clone(sp.prob)
+	if sp.table != nil {
+		sp.table = NewSortedDedup(slices.Clone(sp.Globals()))
+	}
+	return sp.detachMapping()
+}
+
+// detachMapping drops and closes the mapping once the receiver no longer
+// aliases it.
+func (sp *Space) detachMapping() error {
+	if !sp.Mapped() {
+		return nil
+	}
 	m := sp.mapped
 	sp.mapped = nil
 	runtime.SetFinalizer(sp, nil)
 	return m.close()
-}
-
-// detachMapping drops (and closes) the mapping after the receiver's arrays
-// have been replaced by decoded ones.
-func (sp *Space) detachMapping() {
-	if sp.mapped == nil {
-		return
-	}
-	m := sp.mapped
-	sp.mapped = nil
-	runtime.SetFinalizer(sp, nil)
-	m.close()
-}
-
-// Mapped reports whether the subspace's CSR and Globals arrays alias an
-// external mapped buffer (loaded by MapSubSpace).
-func (ss *SubSpace) Mapped() bool { return ss.mapped != nil }
-
-// Acquire pins the mapped buffer backing the subspace; see (*Space).Acquire.
-func (ss *SubSpace) Acquire() error {
-	if ss.mapped == nil {
-		return nil
-	}
-	return ss.mapped.acquire()
-}
-
-// Release undoes one Acquire; see (*Space).Release.
-func (ss *SubSpace) Release() error {
-	if ss.mapped == nil {
-		return nil
-	}
-	return ss.mapped.release()
-}
-
-// Close releases the mapped buffer backing the subspace; see (*Space).Close.
-func (ss *SubSpace) Close() error {
-	if ss.mapped == nil {
-		return nil
-	}
-	return ss.mapped.close()
-}
-
-// Materialize promotes a mapped subspace to ordinary heap arrays (CSR and
-// Globals) and closes the mapping; see (*Space).Materialize.
-func (ss *SubSpace) Materialize() error {
-	if ss.mapped == nil {
-		return nil
-	}
-	ss.off = slices.Clone(ss.off)
-	ss.succ = slices.Clone(ss.succ)
-	ss.prob = slices.Clone(ss.prob)
-	ss.table = NewSortedDedup(slices.Clone(ss.Globals()))
-	m := ss.mapped
-	ss.mapped = nil
-	runtime.SetFinalizer(ss, nil)
-	return m.close()
-}
-
-func (ss *SubSpace) detachMapping() {
-	if ss.mapped == nil {
-		return
-	}
-	m := ss.mapped
-	ss.mapped = nil
-	runtime.SetFinalizer(ss, nil)
-	m.close()
 }
 
 // mappedArrays is the outcome of mapSystem: section payloads aliasing the
@@ -294,9 +241,10 @@ func aliasF64s(data []byte, at, n int64) ([]float64, error) {
 	return unsafe.Slice((*float64)(p), n), nil
 }
 
-// mapSystem validates a format-v2 buffer end to end — header fields,
-// section counts, padding, CRC-32C, CSR structure — and returns arrays
-// aliasing its sections. It performs every check the streaming reader
+// mapSystem validates a format-v2 buffer end to end — header fields and
+// their binding to the instance (bindHeader, before any section is
+// touched), section counts, padding, CRC-32C, CSR structure — and returns
+// arrays aliasing its sections. It performs every check the streaming reader
 // performs (the two paths accept exactly the same byte strings, modulo
 // ErrNotMappable), but touches the bytes only twice: once for the
 // hardware-assisted checksum, once for validation scans.
@@ -306,7 +254,7 @@ func aliasF64s(data []byte, at, n int64) ([]float64, error) {
 // already passed a full validation (the spacecache keys that promise on
 // the file's inode identity). Layout, counts and alignment are still
 // checked, so a trusted load of the wrong-shaped buffer fails cleanly.
-func mapSystem(data []byte, wantKind byte, trusted bool) (serialHeader, mappedArrays, error) {
+func mapSystem(data []byte, a protocol.Algorithm, enc *protocol.Encoder, maxStates int64, trusted bool) (serialHeader, mappedArrays, error) {
 	var arr mappedArrays
 	if !hostLittleEndian {
 		return serialHeader{}, arr, ErrNotMappable
@@ -314,7 +262,10 @@ func mapSystem(data []byte, wantKind byte, trusted bool) (serialHeader, mappedAr
 	if int64(len(data)) < 32 {
 		return serialHeader{}, arr, fmt.Errorf("statespace: buffer of %d bytes too short for a serialized space", len(data))
 	}
-	h, err := parseHeader([32]byte(data[0:32]), wantKind)
+	h, err := parseHeader([32]byte(data[0:32]))
+	if err == nil {
+		err = bindHeader(h, a, enc, maxStates)
+	}
 	if err != nil {
 		return serialHeader{}, arr, err
 	}
@@ -338,7 +289,7 @@ func mapSystem(data []byte, wantKind byte, trusted bool) (serialHeader, mappedAr
 	legitBytes := (h.states + 7) / 8
 	end := legitAt + legitBytes + pad8(legitBytes)
 	globAt, globBytes := int64(0), int64(0)
-	if h.kind == kindSubSpace {
+	if h.kind == kindFrontier {
 		globAt = end + 8
 		globBytes = h.states * 8
 		end = globAt + globBytes
@@ -360,7 +311,7 @@ func mapSystem(data []byte, wantKind byte, trusted bool) (serialHeader, mappedAr
 	if err := mapCount(data, legitAt-8, h.states, "legit"); err != nil {
 		return serialHeader{}, arr, err
 	}
-	if h.kind == kindSubSpace {
+	if h.kind == kindFrontier {
 		if err := mapCount(data, globAt-8, h.states, "globals"); err != nil {
 			return serialHeader{}, arr, err
 		}
@@ -393,7 +344,7 @@ func mapSystem(data []byte, wantKind byte, trusted bool) (serialHeader, mappedAr
 	if arr.legit, err = unpackBools(data[legitAt:legitAt+legitBytes], h.states); err != nil {
 		return serialHeader{}, arr, err
 	}
-	if h.kind == kindSubSpace {
+	if h.kind == kindFrontier {
 		if arr.globals, err = aliasI64s(data, globAt, h.states); err != nil {
 			return serialHeader{}, arr, err
 		}
@@ -406,7 +357,7 @@ func mapSystem(data []byte, wantKind byte, trusted bool) (serialHeader, mappedAr
 		if err := validateSucc(h.states, arr.succ); err != nil {
 			return serialHeader{}, arr, err
 		}
-		if h.kind == kindSubSpace {
+		if h.kind == kindFrontier {
 			if err := validateGlobals(h.states, h.total, arr.globals); err != nil {
 				return serialHeader{}, arr, err
 			}
@@ -415,14 +366,15 @@ func mapSystem(data []byte, wantKind byte, trusted bool) (serialHeader, mappedAr
 	return h, arr, nil
 }
 
-// MapSpace interprets data — the complete bytes of a full space serialized
-// by (*Space).WriteTo, typically a read-only mmap of a cache file — as a
-// transition system whose CSR arrays alias data in place (zero-copy; only
-// the bit-packed legitimacy vector is decoded). Validation is equivalent
-// to ReadSpace's: the two paths accept the same bytes and produce
-// bit-equal arrays. ErrNotMappable (big-endian host, misaligned buffer)
-// means the caller should fall back to ReadSpace; any other error means
-// the bytes themselves are unusable.
+// MapSpace interprets data — the complete bytes of a space serialized by
+// WriteTo, of either kind, typically a read-only mmap of a cache file — as
+// a transition system whose CSR (and Globals) arrays alias data in place
+// (zero-copy; only the bit-packed legitimacy vector is decoded; a frontier
+// space's table is the sealed binary-search view over the aliased
+// Globals). Validation is equivalent to ReadSpace's: the two paths accept
+// the same bytes and produce bit-equal arrays. ErrNotMappable (big-endian
+// host, misaligned buffer) means the caller should fall back to ReadSpace;
+// any other error means the bytes themselves are unusable.
 //
 // unmap, when non-nil, is invoked exactly once — by Close, the final
 // Release after a Close, Materialize, or a GC finalizer safety net — when
@@ -448,32 +400,25 @@ func mapSpace(data []byte, a protocol.Algorithm, pol scheduler.Policy, workers i
 	if err != nil {
 		return nil, fmt.Errorf("statespace: %w", err)
 	}
-	if enc.Total() > math.MaxInt32 {
-		return nil, fmt.Errorf("statespace: %d configurations exceed the int32 index range", enc.Total())
-	}
-	if enc.Total() > StateCap(maxStates) {
-		return nil, fmt.Errorf("statespace: %d configurations exceed the %d-state cap", enc.Total(), StateCap(maxStates))
-	}
-	h, arr, err := mapSystem(data, kindSpace, trusted)
+	h, arr, err := mapSystem(data, a, enc, StateCap(maxStates), trusted)
 	if err != nil {
 		return nil, err
 	}
-	if h.total != enc.Total() || h.states != enc.Total() {
-		return nil, fmt.Errorf("statespace: serialized space has %d of %d configurations, want the full %d of %s",
-			h.states, h.total, enc.Total(), a.Name())
-	}
 	sp := &Space{
-		Alg:     a,
-		Pol:     pol,
-		Enc:     enc,
-		States:  int(h.states),
-		Legit:   arr.legit,
-		Workers: resolveWorkers(workers, int(enc.Total())),
-		off:     arr.off,
-		succ:    arr.succ,
-		prob:    arr.prob,
-		mapped:  &mapping{unmap: unmap},
+		Alg:    a,
+		Pol:    pol,
+		Enc:    enc,
+		States: int(h.states),
+		Legit:  arr.legit,
+		off:    arr.off,
+		succ:   arr.succ,
+		prob:   arr.prob,
+		mapped: &mapping{unmap: unmap},
 	}
+	if h.kind == kindFrontier {
+		sp.table = NewSortedDedup(arr.globals)
+	}
+	sp.Workers = sp.poolSize(workers)
 	if unmap != nil {
 		// Safety net for owners that drop the space without closing it
 		// (one-shot experiment paths): reclaim the mapping when the space
@@ -481,55 +426,4 @@ func mapSpace(data []byte, a protocol.Algorithm, pol scheduler.Policy, workers i
 		runtime.SetFinalizer(sp, func(sp *Space) { sp.Close() })
 	}
 	return sp, nil
-}
-
-// MapSubSpace is MapSpace for a frontier subspace stream written by
-// (*SubSpace).WriteTo: the CSR sections and the Globals vector alias data
-// in place, and the local-id table is the sealed binary-search view over
-// the aliased Globals (no rebuild, no copy). maxStates caps the state
-// count exactly as ReadSubSpace does.
-func MapSubSpace(data []byte, a protocol.Algorithm, pol scheduler.Policy, workers int, maxStates int64, unmap func() error) (*SubSpace, error) {
-	return mapSubSpace(data, a, pol, workers, maxStates, unmap, false)
-}
-
-// MapSubSpaceTrusted is MapSubSpace with the same trusted-bytes contract
-// as MapSpaceTrusted: skip the O(bytes) integrity passes for a buffer the
-// caller has already validated and pinned by file identity.
-func MapSubSpaceTrusted(data []byte, a protocol.Algorithm, pol scheduler.Policy, workers int, maxStates int64, unmap func() error) (*SubSpace, error) {
-	return mapSubSpace(data, a, pol, workers, maxStates, unmap, true)
-}
-
-func mapSubSpace(data []byte, a protocol.Algorithm, pol scheduler.Policy, workers int, maxStates int64, unmap func() error, trusted bool) (*SubSpace, error) {
-	enc, err := protocol.NewEncoder(a, 0)
-	if err != nil {
-		return nil, fmt.Errorf("statespace: %w", err)
-	}
-	h, arr, err := mapSystem(data, kindSubSpace, trusted)
-	if err != nil {
-		return nil, err
-	}
-	if h.states > StateCap(maxStates) {
-		return nil, fmt.Errorf("statespace: serialized subspace has %d states, beyond the %d-state cap", h.states, StateCap(maxStates))
-	}
-	if h.total != enc.Total() {
-		return nil, fmt.Errorf("statespace: serialized subspace lives in a %d-configuration range, want %d for %s",
-			h.total, enc.Total(), a.Name())
-	}
-	ss := &SubSpace{
-		Alg:     a,
-		Pol:     pol,
-		Enc:     enc,
-		States:  int(h.states),
-		Legit:   arr.legit,
-		Workers: resolveWorkers(workers, math.MaxInt),
-		table:   NewSortedDedup(arr.globals),
-		off:     arr.off,
-		succ:    arr.succ,
-		prob:    arr.prob,
-		mapped:  &mapping{unmap: unmap},
-	}
-	if unmap != nil {
-		runtime.SetFinalizer(ss, func(ss *SubSpace) { ss.Close() })
-	}
-	return ss, nil
 }

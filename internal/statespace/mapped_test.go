@@ -8,6 +8,7 @@ package statespace
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -20,13 +21,13 @@ import (
 	"weakstab/internal/scheduler"
 )
 
-func testSpaceBytes(t *testing.T) (*Space, *tokenring.Algorithm, []byte) {
+func testSpaceBytes(t testing.TB) (*Space, *tokenring.Algorithm, []byte) {
 	t.Helper()
 	a, err := tokenring.New(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := Build(a, scheduler.CentralPolicy{}, Options{})
+	sp, err := BuildContext(context.Background(), a, scheduler.CentralPolicy{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,13 +38,13 @@ func testSpaceBytes(t *testing.T) (*Space, *tokenring.Algorithm, []byte) {
 	return sp, a, buf.Bytes()
 }
 
-func testSubSpaceBytes(t *testing.T) (*SubSpace, *tokenring.Algorithm, []byte) {
+func testFrontierBytes(t testing.TB) (*Space, *tokenring.Algorithm, []byte) {
 	t.Helper()
 	a, err := tokenring.New(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := BuildFrom(a, scheduler.CentralPolicy{}, []int64{0, 1, 7, 13}, Options{})
+	ss, err := BuildFromContext(context.Background(), a, scheduler.CentralPolicy{}, []int64{0, 1, 7, 13}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +75,11 @@ func refreshCRC(b []byte) {
 // loader relies on: every section payload offset, and the total length,
 // is a multiple of 8.
 func TestSerialAlignment(t *testing.T) {
-	_, _, data := testSubSpaceBytes(t)
+	_, _, data := testFrontierBytes(t)
 	if len(data)%8 != 0 {
 		t.Errorf("serialized length %d not a multiple of 8", len(data))
 	}
-	h, err := parseHeader([32]byte(data[:32]), kindSubSpace)
+	h, err := parseHeader([32]byte(data[:32]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,17 +129,17 @@ func TestMapSpaceParity(t *testing.T) {
 	}
 }
 
-func TestMapSubSpaceParity(t *testing.T) {
-	ss, a, data := testSubSpaceBytes(t)
-	mapped, err := MapSubSpace(copyAt(data, 0), a, scheduler.CentralPolicy{}, 1, 0, nil)
+func TestMapFrontierParity(t *testing.T) {
+	ss, a, data := testFrontierBytes(t)
+	mapped, err := MapSpace(copyAt(data, 0), a, scheduler.CentralPolicy{}, 1, 0, nil)
 	if err != nil {
-		t.Fatalf("MapSubSpace: %v", err)
+		t.Fatalf("MapSpace: %v", err)
 	}
-	decoded, err := ReadSubSpace(bytes.NewReader(data), a, scheduler.CentralPolicy{}, 1, 0)
+	decoded, err := ReadSpace(bytes.NewReader(data), a, scheduler.CentralPolicy{}, 1, 0)
 	if err != nil {
-		t.Fatalf("ReadSubSpace: %v", err)
+		t.Fatalf("ReadSpace: %v", err)
 	}
-	for _, got := range []*SubSpace{mapped, decoded} {
+	for _, got := range []*Space{mapped, decoded} {
 		if got.States != ss.States || !reflect.DeepEqual(got.Legit, ss.Legit) {
 			t.Fatal("loaded subspace differs in states/legitimacy")
 		}
@@ -182,10 +183,10 @@ func TestMapMisalignedBuffer(t *testing.T) {
 // TestMapTruncatedTail covers truncation behind a valid header: every
 // prefix must fail cleanly, never panic, never succeed.
 func TestMapTruncatedTail(t *testing.T) {
-	_, a, data := testSubSpaceBytes(t)
+	_, a, data := testFrontierBytes(t)
 	for _, n := range []int{0, 16, 32, 40, len(data) / 2, len(data) - 9, len(data) - 8, len(data) - 1} {
-		if _, err := MapSubSpace(copyAt(data[:n], 0), a, scheduler.CentralPolicy{}, 1, 0, nil); err == nil {
-			t.Fatalf("MapSubSpace accepted a %d-byte prefix of %d bytes", n, len(data))
+		if _, err := MapSpace(copyAt(data[:n], 0), a, scheduler.CentralPolicy{}, 1, 0, nil); err == nil {
+			t.Fatalf("MapSpace accepted a %d-byte prefix of %d bytes", n, len(data))
 		}
 	}
 }
@@ -204,18 +205,18 @@ func TestMapCorruptPayload(t *testing.T) {
 // strict-ascent checks shared by the decode and mapped paths, with the CRC
 // refreshed so the structural validation itself is what rejects.
 func TestMapGlobalsConsistency(t *testing.T) {
-	ss, a, data := testSubSpaceBytes(t)
+	ss, a, data := testFrontierBytes(t)
 	globCount := len(data) - 8 - ss.States*8 - 8
 
 	t.Run("count-mismatch", func(t *testing.T) {
 		bad := copyAt(data, 0)
 		binary.LittleEndian.PutUint64(bad[globCount:], uint64(ss.States-1))
 		refreshCRC(bad)
-		if _, err := MapSubSpace(bad, a, scheduler.CentralPolicy{}, 1, 0, nil); err == nil {
-			t.Fatal("MapSubSpace accepted a globals count != state count")
+		if _, err := MapSpace(bad, a, scheduler.CentralPolicy{}, 1, 0, nil); err == nil {
+			t.Fatal("MapSpace accepted a globals count != state count")
 		}
-		if _, err := ReadSubSpace(bytes.NewReader(bad), a, scheduler.CentralPolicy{}, 1, 0); err == nil {
-			t.Fatal("ReadSubSpace accepted a globals count != state count")
+		if _, err := ReadSpace(bytes.NewReader(bad), a, scheduler.CentralPolicy{}, 1, 0); err == nil {
+			t.Fatal("ReadSpace accepted a globals count != state count")
 		}
 	})
 
@@ -228,16 +229,16 @@ func TestMapGlobalsConsistency(t *testing.T) {
 		binary.LittleEndian.PutUint64(bad[first:], g1)
 		binary.LittleEndian.PutUint64(bad[first+8:], g0)
 		refreshCRC(bad)
-		if _, err := MapSubSpace(bad, a, scheduler.CentralPolicy{}, 1, 0, nil); err == nil {
-			t.Fatal("MapSubSpace accepted non-ascending globals")
+		if _, err := MapSpace(bad, a, scheduler.CentralPolicy{}, 1, 0, nil); err == nil {
+			t.Fatal("MapSpace accepted non-ascending globals")
 		}
-		if _, err := ReadSubSpace(bytes.NewReader(bad), a, scheduler.CentralPolicy{}, 1, 0); err == nil {
-			t.Fatal("ReadSubSpace accepted non-ascending globals")
+		if _, err := ReadSpace(bytes.NewReader(bad), a, scheduler.CentralPolicy{}, 1, 0); err == nil {
+			t.Fatal("ReadSpace accepted non-ascending globals")
 		}
 	})
 
 	t.Run("nonzero-padding", func(t *testing.T) {
-		h, err := parseHeader([32]byte(data[:32]), kindSubSpace)
+		h, err := parseHeader([32]byte(data[:32]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,11 +249,11 @@ func TestMapGlobalsConsistency(t *testing.T) {
 		succPadAt := 40 + (h.states+1)*8 + 8 + h.edges*4
 		bad[succPadAt] = 0xff
 		refreshCRC(bad)
-		if _, err := MapSubSpace(bad, a, scheduler.CentralPolicy{}, 1, 0, nil); err == nil {
-			t.Fatal("MapSubSpace accepted nonzero section padding")
+		if _, err := MapSpace(bad, a, scheduler.CentralPolicy{}, 1, 0, nil); err == nil {
+			t.Fatal("MapSpace accepted nonzero section padding")
 		}
-		if _, err := ReadSubSpace(bytes.NewReader(bad), a, scheduler.CentralPolicy{}, 1, 0); err == nil {
-			t.Fatal("ReadSubSpace accepted nonzero section padding")
+		if _, err := ReadSpace(bytes.NewReader(bad), a, scheduler.CentralPolicy{}, 1, 0); err == nil {
+			t.Fatal("ReadSpace accepted nonzero section padding")
 		}
 	})
 }
@@ -290,15 +291,21 @@ func TestMappingLifecycle(t *testing.T) {
 	if unmapped != 1 {
 		t.Fatalf("unmap ran %d times, want exactly once at the last Release", unmapped)
 	}
+	// Callers close unconditionally: the lifecycle is a no-op on a nil
+	// space (an empty-legitimate-set ball closure).
+	var none *Space
+	if none.Mapped() || none.Acquire() != nil || none.Release() != nil || none.Close() != nil || none.Materialize() != nil {
+		t.Fatal("lifecycle methods not no-ops on a nil space")
+	}
 }
 
 // TestMaterialize promotes a mapped subspace to heap arrays; the unmap
 // hook scribbles over the buffer, so any surviving alias would corrupt the
 // comparison.
 func TestMaterialize(t *testing.T) {
-	ss, a, data := testSubSpaceBytes(t)
+	ss, a, data := testFrontierBytes(t)
 	buf := copyAt(data, 0)
-	mapped, err := MapSubSpace(buf, a, scheduler.CentralPolicy{}, 1, 0, func() error {
+	mapped, err := MapSpace(buf, a, scheduler.CentralPolicy{}, 1, 0, func() error {
 		clear(buf)
 		return nil
 	})
@@ -328,11 +335,11 @@ func TestMaterialize(t *testing.T) {
 // the unmap hook poisons the buffer, so a premature unmap shows up as a
 // data mismatch (and as a race under -race).
 func TestMapConcurrentClose(t *testing.T) {
-	ss, a, data := testSubSpaceBytes(t)
+	ss, a, data := testFrontierBytes(t)
 	wantOff, _, _ := ss.CSR()
 	for round := 0; round < 20; round++ {
 		buf := copyAt(data, 0)
-		mapped, err := MapSubSpace(buf, a, scheduler.CentralPolicy{}, 1, 0, func() error {
+		mapped, err := MapSpace(buf, a, scheduler.CentralPolicy{}, 1, 0, func() error {
 			clear(buf)
 			return nil
 		})
@@ -394,10 +401,10 @@ func TestMapTrustedParityAndShape(t *testing.T) {
 		t.Fatal("trusted load accepted a truncated buffer")
 	}
 
-	ss, sa, sdata := testSubSpaceBytes(t)
-	mss, err := MapSubSpaceTrusted(copyAt(sdata, 0), sa, scheduler.CentralPolicy{}, 1, 0, nil)
+	ss, sa, sdata := testFrontierBytes(t)
+	mss, err := MapSpaceTrusted(copyAt(sdata, 0), sa, scheduler.CentralPolicy{}, 1, 0, nil)
 	if err != nil {
-		t.Fatalf("MapSubSpaceTrusted: %v", err)
+		t.Fatalf("MapSpaceTrusted (frontier): %v", err)
 	}
 	if mss.States != ss.States || !reflect.DeepEqual(mss.Globals(), ss.Globals()) {
 		t.Fatal("trusted subspace load differs from the built subspace")

@@ -1,13 +1,15 @@
-// On-disk serialization of explored transition systems. A Space or
-// SubSpace is, at rest, four flat arrays (the CSR triple off/succ/prob plus
-// the legitimacy vector) — and, for a SubSpace, the Globals() vector that
-// ties local ids back to the mixed-radix index range. WriteTo streams them
-// as a versioned little-endian binary: a fixed header (magic, format
-// version, kind, dimensions), length-prefixed sections in a fixed order,
-// and a trailing checksum of everything before it. ReadFrom is the exact
-// inverse and rejects anything it cannot trust: wrong magic or version,
-// kind mismatch, dimension or section-length inconsistencies, truncation,
-// and checksum failures.
+// On-disk serialization of explored transition systems. A Space is, at
+// rest, four flat arrays (the CSR triple off/succ/prob plus the legitimacy
+// vector) — and, for a frontier space, the Globals() vector that ties local
+// ids back to the mixed-radix index range. WriteTo streams them as a
+// versioned little-endian binary: a fixed header (magic, format version,
+// kind, dimensions), length-prefixed sections in a fixed order, and a
+// trailing checksum of everything before it. The kind byte says whether a
+// Globals section follows: kind 0 is a full space (no table, states equal
+// the index range), kind 1 a frontier space. ReadFrom is the exact inverse
+// and rejects anything it cannot trust: wrong magic, version or kind,
+// dimension or section-length inconsistencies, truncation, and checksum
+// failures.
 //
 // Format v2 lays every section payload out on an 8-byte boundary (the
 // header, counts and int64/float64 payloads are naturally 8-wide; the succ
@@ -53,10 +55,10 @@ const SerialVersion = 2
 // serialMagic opens every serialized system ("WSSC": weakstab space cache).
 var serialMagic = [4]byte{'W', 'S', 'S', 'C'}
 
-// Kind discriminates the two transition-system layouts in the header.
+// Kind discriminates the two layouts in the header.
 const (
-	kindSpace    = 0 // full index range: States == Enc.Total()
-	kindSubSpace = 1 // frontier subspace: + Globals section
+	kindFull     = 0 // full index range: States == Enc.Total(), no table
+	kindFrontier = 1 // frontier space: + Globals section
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -94,53 +96,43 @@ func (cr *crcReader) full(p []byte) error {
 }
 
 // WriteTo implements io.WriterTo: it streams the space in the versioned
-// binary cache format. The byte stream is a pure function of the explored
-// arrays (worker counts, cached reverse views and the algorithm/policy
-// objects are not part of it).
+// binary cache format, as kind 0 for a full space and as kind 1, with the
+// Globals section, for a frontier space. The byte stream is a pure
+// function of the explored arrays (worker counts, cached reverse views and
+// the algorithm/policy objects are not part of it).
 func (sp *Space) WriteTo(w io.Writer) (int64, error) {
-	return writeSystem(w, kindSpace, sp.Enc.Total(), int64(sp.States),
-		sp.off, sp.succ, sp.prob, sp.Legit, nil)
-}
-
-// WriteTo implements io.WriterTo for a frontier-explored subspace: the
-// Space layout plus the Globals section mapping local ids to mixed-radix
-// indexes.
-func (ss *SubSpace) WriteTo(w io.Writer) (int64, error) {
-	return writeSystem(w, kindSubSpace, ss.Enc.Total(), int64(ss.States),
-		ss.off, ss.succ, ss.prob, ss.Legit, ss.Globals())
-}
-
-func writeSystem(w io.Writer, kind byte, total, states int64,
-	off []int64, succ []int32, prob []float64, legit []bool, globals []int64) (int64, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	cw := &crcWriter{w: bw}
 
 	var hdr [32]byte
 	copy(hdr[0:4], serialMagic[:])
 	binary.LittleEndian.PutUint16(hdr[4:6], SerialVersion)
-	hdr[6] = kind
+	hdr[6] = kindFull
+	if sp.table != nil {
+		hdr[6] = kindFrontier
+	}
 	hdr[7] = 0 // reserved
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(states))
-	binary.LittleEndian.PutUint64(hdr[16:24], uint64(len(succ)))
-	binary.LittleEndian.PutUint64(hdr[24:32], uint64(total))
+	binary.LittleEndian.PutUint64(hdr[8:16], uint64(sp.States))
+	binary.LittleEndian.PutUint64(hdr[16:24], uint64(len(sp.succ)))
+	binary.LittleEndian.PutUint64(hdr[24:32], uint64(sp.Enc.Total()))
 	if _, err := cw.Write(hdr[:]); err != nil {
 		return cw.n, err
 	}
 
-	if err := writeI64s(cw, off); err != nil {
+	if err := writeI64s(cw, sp.off); err != nil {
 		return cw.n, err
 	}
-	if err := writeI32s(cw, succ); err != nil {
+	if err := writeI32s(cw, sp.succ); err != nil {
 		return cw.n, err
 	}
-	if err := writeF64s(cw, prob); err != nil {
+	if err := writeF64s(cw, sp.prob); err != nil {
 		return cw.n, err
 	}
-	if err := writeBools(cw, legit); err != nil {
+	if err := writeBools(cw, sp.Legit); err != nil {
 		return cw.n, err
 	}
-	if kind == kindSubSpace {
-		if err := writeI64s(cw, globals); err != nil {
+	if sp.table != nil {
+		if err := writeI64s(cw, sp.Globals()); err != nil {
 			return cw.n, err
 		}
 	}
@@ -270,8 +262,8 @@ type serialHeader struct {
 }
 
 // parseHeader decodes and validates the fixed 32-byte header — the shared
-// front door of the streaming (readHeader) and mapped (mapped.go) readers.
-func parseHeader(hdr [32]byte, wantKind byte) (serialHeader, error) {
+// front door of the streaming (ReadFrom) and mapped (mapped.go) readers.
+func parseHeader(hdr [32]byte) (serialHeader, error) {
 	if [4]byte(hdr[0:4]) != serialMagic {
 		return serialHeader{}, fmt.Errorf("statespace: bad magic %q (not a serialized space)", hdr[0:4])
 	}
@@ -284,8 +276,8 @@ func parseHeader(hdr [32]byte, wantKind byte) (serialHeader, error) {
 		edges:  int64(binary.LittleEndian.Uint64(hdr[16:24])),
 		total:  int64(binary.LittleEndian.Uint64(hdr[24:32])),
 	}
-	if h.kind != wantKind {
-		return serialHeader{}, fmt.Errorf("statespace: serialized kind %d, want %d (full space vs subspace mismatch)", h.kind, wantKind)
+	if h.kind != kindFull && h.kind != kindFrontier {
+		return serialHeader{}, fmt.Errorf("statespace: unknown serialized kind %d", h.kind)
 	}
 	// Plausibility bounds: states fit the int32 id range, and a merged CSR
 	// can never hold more than states² distinct transitions (the section
@@ -298,12 +290,20 @@ func parseHeader(hdr [32]byte, wantKind byte) (serialHeader, error) {
 	return h, nil
 }
 
-func readHeader(cr *crcReader, wantKind byte) (serialHeader, error) {
-	var hdr [32]byte
-	if err := cr.full(hdr[:]); err != nil {
-		return serialHeader{}, fmt.Errorf("statespace: reading header: %w", err)
+// bindHeader checks a parsed header against the instance the stream is
+// being bound to and the caller's state cap — before any section is
+// decoded, so an oversized or foreign entry costs a 32-byte read. A full
+// space must span exactly the instance's index range; a frontier space
+// must live inside it.
+func bindHeader(h serialHeader, a protocol.Algorithm, enc *protocol.Encoder, maxStates int64) error {
+	if h.states > maxStates {
+		return fmt.Errorf("statespace: serialized space has %d states, beyond the %d-state cap", h.states, maxStates)
 	}
-	return parseHeader(hdr, wantKind)
+	if h.total != enc.Total() || (h.kind == kindFull && h.states != h.total) {
+		return fmt.Errorf("statespace: serialized space has %d of %d configurations (kind %d), want the %d-configuration range of %s",
+			h.states, h.total, h.kind, enc.Total(), a.Name())
+	}
+	return nil
 }
 
 func readCount(cr *crcReader, want int64, section string) error {
@@ -529,7 +529,7 @@ func maxSucc(succ []int32) uint32 {
 	return max(m0, m1, m2, m3)
 }
 
-// validateGlobals checks a subspace's Globals section against the header
+// validateGlobals checks a frontier space's Globals section against the header
 // it arrived with: exactly one global per state — an explicit
 // length-vs-state-count consistency check the section's own length prefix
 // cannot vouch for on the mapped path — strictly ascending within the
@@ -564,7 +564,7 @@ func readBody(cr *crcReader, br io.Reader, h serialHeader) (off []int64, succ []
 	if legit, err = readBools(cr, h.states, "legit"); err != nil {
 		return
 	}
-	if h.kind == kindSubSpace {
+	if h.kind == kindFrontier {
 		if globals, err = readI64s(cr, h.states, "globals"); err != nil {
 			return
 		}
@@ -590,30 +590,37 @@ func readBody(cr *crcReader, br io.Reader, h serialHeader) (off []int64, succ []
 	if err = validateSucc(h.states, succ); err != nil {
 		return
 	}
-	if h.kind == kindSubSpace {
+	if h.kind == kindFrontier {
 		err = validateGlobals(h.states, h.total, globals)
 	}
 	return
 }
 
 // ReadFrom implements io.ReaderFrom: it replaces sp's explored arrays with
-// a stream written by (*Space).WriteTo. The receiver must already be bound
-// to its algorithm, policy and encoder (Alg, Pol, Enc non-nil — see
-// ReadSpace for the usual entry point); the stream's dimensions are
+// a stream written by WriteTo, of either kind. The receiver must already
+// be bound to its algorithm, policy and encoder (Alg, Pol, Enc non-nil —
+// see ReadSpace for the usual entry point); the stream's dimensions are
 // validated against the encoder, so a file from a different instance is
 // rejected even before cache-key hygiene.
-func (sp *Space) ReadFrom(r io.Reader) (int64, error) {
+func (sp *Space) ReadFrom(r io.Reader) (int64, error) { return sp.readFrom(r, IndexLimit) }
+
+// readFrom is ReadFrom with a state cap checked right after the header,
+// before any section is materialized.
+func (sp *Space) readFrom(r io.Reader, maxStates int64) (int64, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	cr := &crcReader{r: br}
-	h, err := readHeader(cr, kindSpace)
+	var hdr [32]byte
+	if err := cr.full(hdr[:]); err != nil {
+		return cr.n, fmt.Errorf("statespace: reading header: %w", err)
+	}
+	h, err := parseHeader(hdr)
+	if err == nil {
+		err = bindHeader(h, sp.Alg, sp.Enc, maxStates)
+	}
 	if err != nil {
 		return cr.n, err
 	}
-	if h.total != sp.Enc.Total() || h.states != sp.Enc.Total() {
-		return cr.n, fmt.Errorf("statespace: serialized space has %d of %d configurations, want the full %d of %s",
-			h.states, h.total, sp.Enc.Total(), sp.Alg.Name())
-	}
-	off, succ, prob, legit, _, err := readBody(cr, br, h)
+	off, succ, prob, legit, globals, err := readBody(cr, br, h)
 	if err != nil {
 		return cr.n + 8, err
 	}
@@ -623,6 +630,15 @@ func (sp *Space) ReadFrom(r io.Reader) (int64, error) {
 	sp.States = int(h.states)
 	sp.Legit = legit
 	sp.off, sp.succ, sp.prob = off, succ, prob
+	sp.table = nil
+	if h.kind == kindFrontier {
+		// The Globals section was validated strictly ascending, and a
+		// loaded space never grows: the sealed binary-search table avoids
+		// both the dense O(range) array and the per-entry hash insertion of
+		// a growable dedup (a Builder re-adopting this space builds its
+		// own).
+		sp.table = NewSortedDedup(globals)
+	}
 	// The forward CSR changed, so any reverse view cached on this receiver
 	// is stale: reset it so the next Reverse() rebuilds from the loaded
 	// arrays. (ReadFrom must not run concurrently with any use of sp.)
@@ -631,90 +647,30 @@ func (sp *Space) ReadFrom(r io.Reader) (int64, error) {
 	return cr.n + 8, nil
 }
 
-// ReadFrom implements io.ReaderFrom for a subspace stream written by
-// (*SubSpace).WriteTo. The receiver must already be bound to its algorithm,
-// policy and encoder; the dedup table is rebuilt from the Globals section
-// (whose canonical ascending order doubles as the local-id order, exactly
-// as BuildFrom leaves it).
-func (ss *SubSpace) ReadFrom(r io.Reader) (int64, error) {
-	return ss.readFromCapped(r, IndexLimit)
-}
-
-// readFromCapped is ReadFrom with a state cap checked right after the
-// header, before any section is materialized — so a caller bounding memory
-// with Options.MaxStates never decodes an oversized cached subspace only
-// to reject it.
-func (ss *SubSpace) readFromCapped(r io.Reader, maxStates int64) (int64, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	cr := &crcReader{r: br}
-	h, err := readHeader(cr, kindSubSpace)
-	if err != nil {
-		return cr.n, err
-	}
-	if h.states > maxStates {
-		return cr.n, fmt.Errorf("statespace: serialized subspace has %d states, beyond the %d-state cap", h.states, maxStates)
-	}
-	if h.total != ss.Enc.Total() {
-		return cr.n, fmt.Errorf("statespace: serialized subspace lives in a %d-configuration range, want %d for %s",
-			h.total, ss.Enc.Total(), ss.Alg.Name())
-	}
-	off, succ, prob, legit, globals, err := readBody(cr, br, h)
-	if err != nil {
-		return cr.n + 8, err
-	}
-	ss.detachMapping()
-	ss.States = int(h.states)
-	ss.Legit = legit
-	ss.off, ss.succ, ss.prob = off, succ, prob
-	// The Globals section was validated strictly ascending, and a loaded
-	// subspace never grows: the sealed binary-search table avoids both the
-	// dense O(range) array and the per-entry hash insertion of a growable
-	// dedup (a Builder re-adopting this subspace builds its own).
-	ss.table = NewSortedDedup(globals)
-	// Reset the cached reverse view: it described the replaced CSR.
-	ss.revOnce = sync.Once{}
-	ss.rev = Reverse{}
-	return cr.n + 8, nil
-}
-
-// ReadSpace reads a full space serialized by (*Space).WriteTo and binds it
-// to the given algorithm and policy (which the format deliberately does not
-// store — they are code, not data). workers sizes the analysis pools of the
-// loaded space (0 = NumCPU) and maxStates caps it exactly as Options.
-// MaxStates caps a fresh Build (0 = DefaultMaxStates) — a full space always
-// spans the whole index range, so the cap is checked against the encoder
-// before a single byte is read.
+// ReadSpace reads a space serialized by WriteTo, of either kind, and binds
+// it to the given algorithm and policy (which the format deliberately does
+// not store — they are code, not data). workers sizes the analysis pools
+// of the loaded space (0 = NumCPU) and maxStates caps its state count
+// exactly as Options.MaxStates caps a fresh build (0 = DefaultMaxStates),
+// rejected at the header before the arrays are decoded.
 func ReadSpace(r io.Reader, a protocol.Algorithm, pol scheduler.Policy, workers int, maxStates int64) (*Space, error) {
 	enc, err := protocol.NewEncoder(a, 0)
 	if err != nil {
 		return nil, fmt.Errorf("statespace: %w", err)
 	}
-	if enc.Total() > math.MaxInt32 {
-		return nil, fmt.Errorf("statespace: %d configurations exceed the int32 index range", enc.Total())
-	}
-	if enc.Total() > StateCap(maxStates) {
-		return nil, fmt.Errorf("statespace: %d configurations exceed the %d-state cap", enc.Total(), StateCap(maxStates))
-	}
-	sp := &Space{Alg: a, Pol: pol, Enc: enc, Workers: resolveWorkers(workers, int(enc.Total()))}
-	if _, err := sp.ReadFrom(r); err != nil {
+	sp := &Space{Alg: a, Pol: pol, Enc: enc}
+	if _, err := sp.readFrom(r, StateCap(maxStates)); err != nil {
 		return nil, err
 	}
+	sp.Workers = sp.poolSize(workers)
 	return sp, nil
 }
 
-// ReadSubSpace reads a subspace serialized by (*SubSpace).WriteTo and binds
-// it to the given algorithm and policy. workers sizes the analysis pools of
-// the loaded subspace (0 = NumCPU) and maxStates caps its state count
-// exactly as Options.MaxStates caps a fresh BuildFrom (0 =
-// DefaultMaxStates), rejected at the header before the arrays are decoded.
-func ReadSubSpace(r io.Reader, a protocol.Algorithm, pol scheduler.Policy, workers int, maxStates int64) (*SubSpace, error) {
-	enc, err := protocol.NewEncoder(a, 0)
-	if err != nil {
-		return nil, fmt.Errorf("statespace: %w", err)
+// poolSize resolves a loaded space's worker option the way the matching
+// build resolves it: a full build never runs more workers than states.
+func (sp *Space) poolSize(workers int) int {
+	if sp.table == nil {
+		return resolveWorkers(workers, sp.States)
 	}
-	ss := &SubSpace{Alg: a, Pol: pol, Enc: enc, Workers: resolveWorkers(workers, math.MaxInt)}
-	if _, err := ss.readFromCapped(r, StateCap(maxStates)); err != nil {
-		return nil, err
-	}
-	return ss, nil
+	return resolveWorkers(workers, math.MaxInt)
 }

@@ -7,8 +7,10 @@ package statespace
 // mismatch) or decodes to a system whose re-serialization reproduces the
 // input bytes exactly (the CRC-32C passed, so the payload was untouched).
 // Panics, hangs and silently-wrong spaces are all failures. Seeds are
-// valid serializations of small explored systems; the fuzzer mutates from
-// there into the interesting near-valid region.
+// valid serializations of small explored systems — a full space for the
+// *Space targets, a frontier space with its Globals section for the
+// *SubSpace ones — and the fuzzer mutates from there into the interesting
+// near-valid region. Every input is read as both seed instances.
 //
 // The zero-copy mapped loader is held to a stronger bar still: on a
 // little-endian host with an aligned buffer it must accept exactly the
@@ -18,6 +20,7 @@ package statespace
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -35,26 +38,24 @@ func fuzzRing(f *testing.F, n int) *tokenring.Algorithm {
 	return a
 }
 
-// FuzzReadSpace mutates serialized full spaces: ReadSpace must error or
-// round-trip bit-identically, never panic.
-func FuzzReadSpace(f *testing.F) {
-	a := fuzzRing(f, 4)
-	pol := scheduler.CentralPolicy{}
-	sp, err := Build(a, pol, Options{})
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := sp.WriteTo(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	// (mutations cover truncations)
+// fuzzInstances returns the seed bytes of both serialized kinds and the
+// instances a mutated stream is bound to: every fuzz input is read as each
+// of them, so a mutation that turns one kind's bytes into a stream for the
+// other instance is exercised too.
+func fuzzInstances(f *testing.F) (full, frontier []byte, algs []*tokenring.Algorithm) {
+	_, fullAlg, full := testSpaceBytes(f)
+	_, frontierAlg, frontier := testFrontierBytes(f)
+	return full, frontier, []*tokenring.Algorithm{fullAlg, frontierAlg}
+}
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+// checkReadRoundTrip reads data as each instance: ReadSpace must error or
+// round-trip bit-identically, never panic.
+func checkReadRoundTrip(t *testing.T, data []byte, algs []*tokenring.Algorithm) {
+	pol := scheduler.CentralPolicy{}
+	for _, a := range algs {
 		got, err := ReadSpace(bytes.NewReader(data), a, pol, 1, 0)
 		if err != nil {
-			return
+			continue
 		}
 		var out bytes.Buffer
 		if _, err := got.WriteTo(&out); err != nil {
@@ -66,39 +67,24 @@ func FuzzReadSpace(f *testing.F) {
 		if out.Len() > len(data) || !bytes.Equal(out.Bytes(), data[:out.Len()]) {
 			t.Fatalf("accepted space re-serializes to %d bytes differing from its input", out.Len())
 		}
-	})
+	}
 }
 
-// FuzzReadSubSpace is the subspace analogue, with the Globals section and
-// its strict-ascent validation in play.
+// FuzzReadSpace mutates serialized full spaces.
+func FuzzReadSpace(f *testing.F) {
+	full, _, algs := fuzzInstances(f)
+	f.Add(full)
+	f.Fuzz(func(t *testing.T, data []byte) { checkReadRoundTrip(t, data, algs) })
+}
+
+// FuzzReadSubSpace mutates serialized frontier spaces, with the Globals
+// section and its strict-ascent validation in play.
 func FuzzReadSubSpace(f *testing.F) {
-	a := fuzzRing(f, 5)
-	pol := scheduler.CentralPolicy{}
-	seeds := []int64{0, 1, 7, 13} // inside tokenring(5)'s 2^5-configuration range
-	ss, err := BuildFrom(a, pol, seeds, Options{})
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := ss.WriteTo(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add(buf.Bytes()[:40])
+	_, frontier, algs := fuzzInstances(f)
+	f.Add(frontier)
+	f.Add(frontier[:40])
 	f.Add([]byte("WSSC\x01\x00\x01"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadSubSpace(bytes.NewReader(data), a, pol, 1, 0)
-		if err != nil {
-			return
-		}
-		var out bytes.Buffer
-		if _, err := got.WriteTo(&out); err != nil {
-			t.Fatalf("accepted subspace failed to re-serialize: %v", err)
-		}
-		if out.Len() > len(data) || !bytes.Equal(out.Bytes(), data[:out.Len()]) {
-			t.Fatalf("accepted subspace re-serializes to %d bytes differing from its input", out.Len())
-		}
-	})
+	f.Fuzz(func(t *testing.T, data []byte) { checkReadRoundTrip(t, data, algs) })
 }
 
 // FuzzReadFromSubSpace drives the lower-level ReadFrom seam directly on a
@@ -109,7 +95,7 @@ func FuzzReadFromSubSpace(f *testing.F) {
 	a := fuzzRing(f, 5)
 	other := fuzzRing(f, 4)
 	pol := scheduler.CentralPolicy{}
-	ss, err := BuildFrom(a, pol, []int64{0, 3}, Options{})
+	ss, err := BuildFromContext(context.Background(), a, pol, []int64{0, 3}, Options{})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -119,7 +105,7 @@ func FuzzReadFromSubSpace(f *testing.F) {
 	}
 	f.Add(buf.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadSubSpace(bytes.NewReader(data), other, pol, 1, 0)
+		got, err := ReadSpace(bytes.NewReader(data), other, pol, 1, 0)
 		if err != nil {
 			return
 		}
@@ -128,33 +114,23 @@ func FuzzReadFromSubSpace(f *testing.F) {
 		// carry the receiver's total (the seed corpus entry itself must be
 		// rejected).
 		if got.TotalConfigs() != 81 {
-			t.Fatalf("subspace with total %d accepted for an 81-configuration instance", got.TotalConfigs())
+			t.Fatalf("space with total %d accepted for an 81-configuration instance", got.TotalConfigs())
 		}
 	})
 }
 
-// FuzzMapSpace cross-checks the zero-copy loader against the streaming
-// decoder on mutated full-space bytes: on this host (aligned buffer;
-// big-endian hosts skip inside the loop) the two must agree byte-for-byte
-// on acceptance, arrays and re-serialization. The mapped loader ignores
-// trailing garbage exactly like the stream reader, so equality is over
-// the consumed prefix.
-func FuzzMapSpace(f *testing.F) {
-	a := fuzzRing(f, 4)
+// checkMapParity cross-checks the zero-copy loader against the streaming
+// decoder on data read as each instance: on this host (aligned buffer;
+// big-endian hosts skip) the two must agree on acceptance, arrays — the
+// Globals section included — and re-serialization. The mapped loader
+// ignores trailing garbage exactly like the stream reader, so equality is
+// over the consumed prefix.
+func checkMapParity(t *testing.T, data []byte, algs []*tokenring.Algorithm) {
+	if !hostLittleEndian {
+		t.Skip("mapped loads fall back on big-endian hosts")
+	}
 	pol := scheduler.CentralPolicy{}
-	sp, err := Build(a, pol, Options{})
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := sp.WriteTo(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if !hostLittleEndian {
-			t.Skip("mapped loads fall back on big-endian hosts")
-		}
+	for _, a := range algs {
 		mapped, mapErr := MapSpace(copyAt(data, 0), a, pol, 1, 0, nil)
 		decoded, decErr := ReadSpace(bytes.NewReader(data), a, pol, 1, 0)
 		if errors.Is(mapErr, ErrNotMappable) {
@@ -164,12 +140,13 @@ func FuzzMapSpace(f *testing.F) {
 			t.Fatalf("paths disagree on acceptance: map=%v decode=%v", mapErr, decErr)
 		}
 		if mapErr != nil {
-			return
+			continue
 		}
 		mo, ms, mp := mapped.CSR()
 		do, ds, dp := decoded.CSR()
 		if mapped.States != decoded.States || !reflect.DeepEqual(mapped.Legit, decoded.Legit) ||
-			!reflect.DeepEqual(mo, do) || !reflect.DeepEqual(ms, ds) || !reflect.DeepEqual(mp, dp) {
+			!reflect.DeepEqual(mo, do) || !reflect.DeepEqual(ms, ds) || !reflect.DeepEqual(mp, dp) ||
+			!reflect.DeepEqual(mapped.Globals(), decoded.Globals()) {
 			t.Fatalf("mapped and decoded spaces differ for the same accepted bytes")
 		}
 		var out bytes.Buffer
@@ -179,46 +156,23 @@ func FuzzMapSpace(f *testing.F) {
 		if out.Len() > len(data) || !bytes.Equal(out.Bytes(), data[:out.Len()]) {
 			t.Fatalf("accepted mapped space re-serializes to %d bytes differing from its input", out.Len())
 		}
-	})
+	}
 }
 
-// FuzzMapSubSpace is the subspace analogue, with the Globals section —
-// its state-count consistency and strict-ascent validation — in play on
-// the mapped path.
+// FuzzMapSpace runs the mapped-vs-decoded cross-check on mutated full
+// spaces.
+func FuzzMapSpace(f *testing.F) {
+	full, _, algs := fuzzInstances(f)
+	f.Add(full)
+	f.Fuzz(func(t *testing.T, data []byte) { checkMapParity(t, data, algs) })
+}
+
+// FuzzMapSubSpace runs it on mutated frontier spaces, with the Globals
+// section — its state-count consistency and strict-ascent validation — in
+// play on the mapped path.
 func FuzzMapSubSpace(f *testing.F) {
-	a := fuzzRing(f, 5)
-	pol := scheduler.CentralPolicy{}
-	ss, err := BuildFrom(a, pol, []int64{0, 1, 7, 13}, Options{})
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := ss.WriteTo(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add(buf.Bytes()[:40])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if !hostLittleEndian {
-			t.Skip("mapped loads fall back on big-endian hosts")
-		}
-		mapped, mapErr := MapSubSpace(copyAt(data, 0), a, pol, 1, 0, nil)
-		decoded, decErr := ReadSubSpace(bytes.NewReader(data), a, pol, 1, 0)
-		if errors.Is(mapErr, ErrNotMappable) {
-			t.Fatalf("aligned little-endian buffer reported ErrNotMappable")
-		}
-		if (mapErr == nil) != (decErr == nil) {
-			t.Fatalf("paths disagree on acceptance: map=%v decode=%v", mapErr, decErr)
-		}
-		if mapErr != nil {
-			return
-		}
-		mo, ms, mp := mapped.CSR()
-		do, ds, dp := decoded.CSR()
-		if mapped.States != decoded.States || !reflect.DeepEqual(mapped.Legit, decoded.Legit) ||
-			!reflect.DeepEqual(mo, do) || !reflect.DeepEqual(ms, ds) || !reflect.DeepEqual(mp, dp) ||
-			!reflect.DeepEqual(mapped.Globals(), decoded.Globals()) {
-			t.Fatalf("mapped and decoded subspaces differ for the same accepted bytes")
-		}
-	})
+	_, frontier, algs := fuzzInstances(f)
+	f.Add(frontier)
+	f.Add(frontier[:40])
+	f.Fuzz(func(t *testing.T, data []byte) { checkMapParity(t, data, algs) })
 }

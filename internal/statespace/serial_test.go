@@ -2,7 +2,10 @@ package statespace
 
 import (
 	"bytes"
+	"context"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -38,37 +41,13 @@ func assertSpaceEqual(t *testing.T, want, got *Space) {
 			t.Fatalf("prob[%d] = %x, want %x", i, math.Float64bits(got.prob[i]), math.Float64bits(want.prob[i]))
 		}
 	}
-}
-
-func assertSubSpaceEqual(t *testing.T, want, got *SubSpace) {
-	t.Helper()
-	if want.States != got.States {
-		t.Fatalf("States = %d, want %d", got.States, want.States)
-	}
-	if !slices.Equal(want.Legit, got.Legit) {
-		t.Fatal("Legit vectors differ")
-	}
-	if !slices.Equal(want.off, got.off) {
-		t.Fatal("off arrays differ")
-	}
-	if !slices.Equal(want.succ, got.succ) {
-		t.Fatal("succ arrays differ")
-	}
-	if len(want.prob) != len(got.prob) {
-		t.Fatalf("prob length %d, want %d", len(got.prob), len(want.prob))
-	}
-	for i := range want.prob {
-		if math.Float64bits(want.prob[i]) != math.Float64bits(got.prob[i]) {
-			t.Fatalf("prob[%d] differs", i)
-		}
-	}
 	if !slices.Equal(want.Globals(), got.Globals()) {
 		t.Fatal("Globals vectors differ")
 	}
-	// The rebuilt dedup table must answer lookups exactly like the original.
-	for i, g := range want.Globals() {
-		if got.LocalIndex(g) != int32(i) {
-			t.Fatalf("LocalIndex(%d) = %d, want %d", g, got.LocalIndex(g), i)
+	// The rebuilt table must answer lookups exactly like the original.
+	for s := range want.States {
+		if g := want.GlobalIndex(s); got.LocalIndex(g) != int32(s) {
+			t.Fatalf("LocalIndex(%d) = %d, want %d", g, got.LocalIndex(g), s)
 		}
 	}
 }
@@ -76,7 +55,7 @@ func assertSubSpaceEqual(t *testing.T, want, got *SubSpace) {
 func TestSpaceRoundTrip(t *testing.T) {
 	for _, tc := range frontierMatrix(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			sp, err := Build(tc.alg, tc.pol, Options{})
+			sp, err := BuildContext(context.Background(), tc.alg, tc.pol, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,7 +80,7 @@ func TestSubSpaceRoundTrip(t *testing.T) {
 	for _, tc := range frontierMatrix(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			// Seed with the legitimate set: a nontrivial strict subspace.
-			full, err := Build(tc.alg, tc.pol, Options{})
+			full, err := BuildContext(context.Background(), tc.alg, tc.pol, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +90,7 @@ func TestSubSpaceRoundTrip(t *testing.T) {
 					seeds = append(seeds, int64(s))
 				}
 			}
-			ss, err := BuildFrom(tc.alg, tc.pol, seeds, Options{})
+			ss, err := BuildFromContext(context.Background(), tc.alg, tc.pol, seeds, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,11 +98,11 @@ func TestSubSpaceRoundTrip(t *testing.T) {
 			if _, err := ss.WriteTo(&buf); err != nil {
 				t.Fatal(err)
 			}
-			got, err := ReadSubSpace(bytes.NewReader(buf.Bytes()), tc.alg, tc.pol, 0, 0)
+			got, err := ReadSpace(bytes.NewReader(buf.Bytes()), tc.alg, tc.pol, 0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSubSpaceEqual(t, ss, got)
+			assertSpaceEqual(t, ss, got)
 		})
 	}
 }
@@ -135,7 +114,7 @@ func serializedFixture(t *testing.T) ([]byte, *Space) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := Build(ring, scheduler.CentralPolicy{}, Options{})
+	sp, err := BuildContext(context.Background(), ring, scheduler.CentralPolicy{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,11 +178,44 @@ func TestReadRejectsBadMagic(t *testing.T) {
 	}
 }
 
+// TestReadRejectsKindMismatch pins the kind byte: a kind the format does
+// not define is refused at the header, and a full-space stream relabeled
+// as a frontier stream (checksum refreshed) is refused too — its missing
+// Globals section cannot be read.
 func TestReadRejectsKindMismatch(t *testing.T) {
 	data, sp := serializedFixture(t)
-	if _, err := ReadSubSpace(bytes.NewReader(data), sp.Alg, sp.Pol, 0, 0); err == nil ||
+	bad := bytes.Clone(data)
+	bad[6] = 2
+	if _, err := ReadSpace(bytes.NewReader(bad), sp.Alg, sp.Pol, 0, 0); err == nil ||
 		!strings.Contains(err.Error(), "kind") {
-		t.Fatal("full-space stream accepted as a subspace")
+		t.Fatalf("unknown kind accepted, err=%v", err)
+	}
+	bad[6] = kindFrontier
+	refreshCRC(bad)
+	if _, err := ReadSpace(bytes.NewReader(bad), sp.Alg, sp.Pol, 0, 0); err == nil {
+		t.Fatal("full-space stream accepted as a frontier space")
+	}
+}
+
+// TestSerialBytesStable pins the SHA-256 of WriteTo for one system of each
+// kind to the digests of format version 2 as first written, so a change
+// to the writer that alters the bytes on disk fails here instead of
+// silently invalidating existing cache entries without a SerialVersion
+// bump.
+func TestSerialBytesStable(t *testing.T) {
+	_, _, full := testSpaceBytes(t)
+	_, _, frontier := testFrontierBytes(t)
+	for _, c := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"tokenring(4) central full space", full, "3f946e5a37be3808065d3219db559d170607c73f90c6ac4342076f89b790fcb0"},
+		{"tokenring(5) central frontier from {0,1,7,13}", frontier, "6e529660a73ab3b8415807d3e48861c5d872b92fe9586facac253ea994b12254"},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(c.data)); got != c.want {
+			t.Errorf("%s: WriteTo SHA-256 %s, want %s", c.name, got, c.want)
+		}
 	}
 }
 
@@ -227,7 +239,7 @@ func TestSubSpaceReadAnalysesMatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	pol := scheduler.DistributedPolicy{}
-	ss, err := BuildFrom(ring, pol, []int64{0, 1, 5}, Options{})
+	ss, err := BuildFromContext(context.Background(), ring, pol, []int64{0, 1, 5}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +247,7 @@ func TestSubSpaceReadAnalysesMatch(t *testing.T) {
 	if _, err := ss.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSubSpace(bytes.NewReader(buf.Bytes()), ring, pol, 0, 0)
+	got, err := ReadSpace(bytes.NewReader(buf.Bytes()), ring, pol, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,11 +59,11 @@ type Options struct {
 }
 
 // StateCap resolves the MaxStates option to its effective value, shared by
-// every exploration path (Build, BuildFrom, the checker's fault-ball
-// enumeration): 0 means DefaultMaxStates, and values beyond the int32
-// state-id range clamp to IndexLimit. The cap is inclusive on discovered
-// states: a region of exactly StateCap(m) states builds, and discovering
-// one more fails.
+// every exploration path (BuildContext, BuildFromContext, the checker's
+// fault-ball enumeration): 0 means DefaultMaxStates, and values beyond the
+// int32 state-id range clamp to IndexLimit. The cap is inclusive on
+// discovered states: a region of exactly StateCap(m) states builds, and
+// discovering one more fails.
 func StateCap(maxStates int64) int64 {
 	if maxStates <= 0 {
 		return DefaultMaxStates
@@ -86,33 +86,58 @@ func resolveWorkers(workers, limit int) int {
 	return workers
 }
 
-// Space is the explored transition system: states are configuration
-// indexes under Enc, and the successors of s — deduplicated, sorted
-// ascending, with the transition probabilities of the policy's randomized
-// scheduler (Definition 6: uniform over the policy's activation subsets)
-// — are the CSR row Succ(s)/Prob(s). States with no enabled process have
-// empty rows (terminal; the Markov view treats them as absorbing).
+// Space is an explored transition system: the full configuration space
+// (BuildContext) or the forward closure of a seed set (BuildFromContext,
+// Builder). Its states are dense indexes; the successors of s —
+// deduplicated, sorted ascending, with the transition probabilities of the
+// policy's randomized scheduler (Definition 6: uniform over the policy's
+// activation subsets) — are the CSR row Succ(s)/Prob(s). States with no
+// enabled process have empty rows (terminal; the Markov view treats them as
+// absorbing).
+//
+// A full space indexes its states by their global (mixed-radix) index
+// under Enc, so its global-index table is nil and every global↔state
+// conversion is the identity. A frontier-explored space indexes only the
+// discovered states, by dense local ids in ascending order of their global
+// indexes, through a table. Every analysis runs over either unchanged;
+// over a frontier space the properties quantify over the explored states,
+// which is sound because the space is closed under successors.
 type Space struct {
 	Alg    protocol.Algorithm
 	Pol    scheduler.Policy
 	Enc    *protocol.Encoder
 	States int
-	Legit  []bool // Legit[s]: configuration s is legitimate
+	Legit  []bool // Legit[s]: state s is legitimate
 	// Workers is the resolved exploration worker-pool size, reused as the
 	// default pool size of the analyses run over this space.
 	Workers int
+
+	table *Dedup // global -> state; nil for a full space (the identity)
 
 	off  []int64   // row offsets, len States+1
 	succ []int32   // successor state indexes, sorted per row
 	prob []float64 // transition probabilities aligned with succ
 
-	// mapped is non-nil when the CSR arrays alias an external mapped
-	// buffer (MapSpace); see mapped.go for the Close/Acquire lifecycle.
+	// mapped is non-nil when the CSR (and Globals) arrays alias an
+	// external mapped buffer (MapSpace); see mapped.go for the
+	// Close/Acquire lifecycle.
 	mapped *mapping
 
 	revOnce sync.Once
 	rev     Reverse
 }
+
+// NumStates returns the number of states.
+func (sp *Space) NumStates() int { return sp.States }
+
+// TotalConfigs returns the size of the configuration space the system
+// lives in: NumStates for a full space, and for a frontier space
+// NumStates/TotalConfigs is the explored fraction.
+func (sp *Space) TotalConfigs() int64 { return sp.Enc.Total() }
+
+// PoolWorkers returns the worker-pool size analyses over this space
+// should run on (the resolved exploration pool size).
+func (sp *Space) PoolWorkers() int { return sp.Workers }
 
 // Succ returns the deduplicated successor state indexes of s, sorted
 // ascending. The slice aliases the space; callers must not modify it.
@@ -142,7 +167,10 @@ func (sp *Space) CSR() (off []int64, succ []int32, prob []float64) {
 
 // Reverse returns the predecessor view of the space, built on first use
 // and cached, so the checker's reachability passes and the Markov analyses
-// of the same space share one reverse CSR.
+// of the same space share one reverse CSR. Over a frontier space the view
+// has no predecessors outside the explored set — exactly what the
+// forward-looking analyses of its states need, since it is closed under
+// successors.
 func (sp *Space) Reverse() Reverse {
 	sp.revOnce.Do(func() {
 		sp.rev = ReverseCSR(sp.States, sp.off, sp.succ, sp.Workers)
@@ -150,9 +178,50 @@ func (sp *Space) Reverse() Reverse {
 	return sp.rev
 }
 
-// Config decodes state index s into a fresh configuration.
-func (sp *Space) Config(s int) protocol.Configuration {
-	return sp.Enc.Decode(int64(s), nil)
+// GlobalIndex returns the global (mixed-radix) index of state s.
+func (sp *Space) GlobalIndex(s int) int64 {
+	if sp.table == nil {
+		return int64(s)
+	}
+	return sp.table.Globals()[s]
+}
+
+// Globals returns the global indexes of a frontier space's states in state
+// (= ascending global) order, aliasing the space. It is nil for a full
+// space, whose global index is the state index itself.
+func (sp *Space) Globals() []int64 {
+	if sp.table == nil {
+		return nil
+	}
+	return sp.table.Globals()
+}
+
+// LocalIndex returns the state index of the global index g, or -1 when g
+// is not a state of the space.
+func (sp *Space) LocalIndex(g int64) int32 {
+	if sp.table == nil {
+		if g < 0 || g >= int64(sp.States) {
+			return -1
+		}
+		return int32(g)
+	}
+	return sp.table.Lookup(g)
+}
+
+// Config decodes state s into a fresh configuration.
+func (sp *Space) Config(s int) protocol.Configuration { return sp.ConfigInto(s, nil) }
+
+// ConfigInto decodes state s into dst (allocating only when dst is nil or
+// too short) and returns it, so sweeping analyses reuse one decode buffer.
+func (sp *Space) ConfigInto(s int, dst protocol.Configuration) protocol.Configuration {
+	return sp.Enc.Decode(sp.GlobalIndex(s), dst)
+}
+
+// StateOf returns the state index of cfg. ok is false when cfg is not a
+// state of the space, which only a frontier space can miss.
+func (sp *Space) StateOf(cfg protocol.Configuration) (int32, bool) {
+	l := sp.LocalIndex(sp.Enc.Encode(cfg))
+	return l, l >= 0
 }
 
 // edge is one pre-merge transition of the row under construction. Targets
@@ -180,14 +249,9 @@ type chunk struct {
 	prob []float64
 }
 
-// Build explores a's configuration space under pol with a worker pool and
-// returns the shared transition system. The result is deterministic and
-// independent of Options.Workers.
-func Build(a protocol.Algorithm, pol scheduler.Policy, opt Options) (*Space, error) {
-	return BuildContext(context.Background(), a, pol, opt)
-}
-
-// BuildContext is Build with cooperative cancellation: ctx is checked at
+// BuildContext explores a's configuration space under pol with a worker
+// pool and returns the full transition system. The result is
+// deterministic and independent of Options.Workers. ctx is checked at
 // chunk granularity, so a cancelled build stops claiming work and returns
 // an error wrapping ctx.Err() in bounded time, producing no space. A
 // successful build is unaffected by ctx.
@@ -293,10 +357,10 @@ func BuildContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Polic
 }
 
 // explorer holds one worker's reusable scratch state. It is shared by the
-// full-range engine (Build) and the frontier engine (BuildFrom): both feed
-// it one decoded configuration at a time and read the merged successor row
-// (global targets, global probabilities) from outTo/outProb after each
-// exploreState call.
+// full-range engine (BuildContext) and the frontier engine
+// (BuildFromContext): both feed it one decoded configuration at a time and
+// read the merged successor row (global targets, global probabilities)
+// from outTo/outProb after each exploreState call.
 type explorer struct {
 	alg      protocol.Algorithm
 	pol      scheduler.Policy

@@ -1,6 +1,7 @@
 package statespace
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -84,7 +85,7 @@ func TestBuildMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: reference: %v", a.Name(), pol.Name(), err)
 			}
-			got, err := Build(a, pol, Options{Workers: 3})
+			got, err := BuildContext(context.Background(), a, pol, Options{Workers: 3})
 			if err != nil {
 				t.Fatalf("%s/%s: build: %v", a.Name(), pol.Name(), err)
 			}
@@ -101,12 +102,12 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	pol := scheduler.DistributedPolicy{}
-	base, err := Build(a, pol, Options{Workers: 1})
+	base, err := BuildContext(context.Background(), a, pol, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 7} {
-		got, err := Build(a, pol, Options{Workers: workers})
+		got, err := BuildContext(context.Background(), a, pol, Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -147,7 +148,7 @@ func assertEqualSpaces(t *testing.T, label string, want, got *Space) {
 func TestRowInvariants(t *testing.T) {
 	for _, a := range instances(t) {
 		for _, pol := range policies() {
-			sp, err := Build(a, pol, Options{})
+			sp, err := BuildContext(context.Background(), a, pol, Options{})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", a.Name(), pol.Name(), err)
 			}
@@ -186,7 +187,7 @@ func TestTerminalAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := Build(a, scheduler.CentralPolicy{}, Options{})
+	sp, err := BuildContext(context.Background(), a, scheduler.CentralPolicy{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestMaxStatesCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Build(a, scheduler.CentralPolicy{}, Options{MaxStates: 100}); err == nil {
+	if _, err := BuildContext(context.Background(), a, scheduler.CentralPolicy{}, Options{MaxStates: 100}); err == nil {
 		t.Fatal("expected cap error")
 	}
 	if _, err := BuildReference(a, scheduler.CentralPolicy{}, 100); err == nil {
@@ -241,7 +242,7 @@ func TestBuildRejectsInvalidOutcomes(t *testing.T) {
 		{"out-of-domain", badOutcome{Algorithm: inner}},
 		{"empty", badOutcome{Algorithm: inner, empty: true}},
 	} {
-		if _, err := Build(tc.alg, scheduler.CentralPolicy{}, Options{Workers: 2}); err == nil {
+		if _, err := BuildContext(context.Background(), tc.alg, scheduler.CentralPolicy{}, Options{Workers: 2}); err == nil {
 			t.Fatalf("%s: expected error from Build", tc.name)
 		}
 	}

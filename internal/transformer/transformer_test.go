@@ -1,6 +1,7 @@
 package transformer
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -18,7 +19,7 @@ import (
 // space, the space's legitimate-target vector, and the encoder.
 func mustMarkov(t *testing.T, a protocol.Algorithm, pol scheduler.Policy) (*markov.Chain, []bool, *protocol.Encoder) {
 	t.Helper()
-	ts, err := statespace.Build(a, pol, statespace.Options{})
+	ts, err := statespace.BuildContext(context.Background(), a, pol, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +308,7 @@ func TestTransformedFrontierSubspaceParity(t *testing.T) {
 	}
 	trans := New(inner)
 	pol := scheduler.DistributedPolicy{}
-	full, err := statespace.Build(trans, pol, statespace.Options{})
+	full, err := statespace.BuildContext(context.Background(), trans, pol, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +342,7 @@ func TestTransformedFrontierSubspaceParity(t *testing.T) {
 			cfg[p] = orig
 		}
 	}
-	ss, err := statespace.BuildFrom(trans, pol, seeds, statespace.Options{})
+	ss, err := statespace.BuildFromContext(context.Background(), trans, pol, seeds, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
