@@ -20,7 +20,6 @@ import (
 	"weakstab/internal/graph"
 	"weakstab/internal/markov"
 	"weakstab/internal/protocol"
-	"weakstab/internal/runtime"
 	"weakstab/internal/scheduler"
 	"weakstab/internal/statespace"
 )
@@ -93,7 +92,7 @@ func BenchmarkCheckerExplore(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := checker.Explore(alg, scheduler.CentralPolicy{}, 0); err != nil {
+		if _, err := checker.ExploreWith(alg, scheduler.CentralPolicy{}, 0, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -118,7 +117,7 @@ func BenchmarkMarkovHittingTimes(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := chain.HittingTimes(markov.TargetFromSpace(ts)); err != nil {
+		if _, err := chain.HittingTimesContext(context.Background(), markov.TargetFromSpace(ts)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -145,7 +144,7 @@ func BenchmarkMarkovSolve(b *testing.B) {
 			b.Fatal(err)
 		}
 		target := markov.TargetFromSpace(ts)
-		if _, err := chain.HittingTimes(target); err != nil {
+		if _, err := chain.HittingTimesContext(context.Background(), target); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -167,7 +166,7 @@ func BenchmarkMarkovSolveLargeDAG(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.HittingTimes(target); err != nil {
+		if _, err := c.HittingTimesContext(context.Background(), target); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -189,35 +188,9 @@ func BenchmarkMarkovSolveLargeSCC(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.HittingTimes(target); err != nil {
+		if _, err := c.HittingTimesContext(context.Background(), target); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkConcurrentEngineStep measures the goroutine-per-process runtime
-// against a 32-process ring with full synchronous activation.
-func BenchmarkConcurrentEngineStep(b *testing.B) {
-	alg, err := weakstab.NewTokenRing(32)
-	if err != nil {
-		b.Fatal(err)
-	}
-	e := runtime.NewEngine(alg, 1)
-	defer e.Close()
-	rng := rand.New(rand.NewSource(1))
-	cfg := weakstab.RandomConfiguration(alg, rng)
-	all := make([]int, 32)
-	for i := range all {
-		all[i] = i
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		next, _, err := e.Step(cfg, all)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg = next
 	}
 }
 
@@ -389,7 +362,7 @@ func benchFrontierBall(b *testing.B, build func() (protocol.Algorithm, error), p
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		globals, _, err := checker.FaultBall(alg, k, 0, 0)
+		globals, _, err := checker.FaultBallContext(context.Background(), alg, k, 0, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -448,7 +421,7 @@ func BenchmarkAnalyzeSharedSpace(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := core.AnalyzeWith(alg, scheduler.CentralPolicy{}, core.Options{})
+		rep, err := core.AnalyzeWithContext(context.Background(), alg, scheduler.CentralPolicy{}, statespace.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

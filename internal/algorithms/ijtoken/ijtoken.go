@@ -18,6 +18,7 @@
 package ijtoken
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -108,7 +109,7 @@ func (s *System) ExpectedMergeTime(initial []int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	h, err := chain.HittingTimes(target)
+	h, err := chain.HittingTimesContext(context.Background(), target)
 	if err != nil {
 		return 0, err
 	}

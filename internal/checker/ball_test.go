@@ -1,13 +1,14 @@
 package checker
 
-// Acceptance pin: the ball-seeded frontier path (FaultBall + BuildFromContext +
-// BallVerdicts) must reproduce the full-space k-fault classification
+// Acceptance pin: the ball-seeded frontier path (FaultBallContext +
+// BuildFromContext + BallVerdicts) must reproduce the full-space k-fault classification
 // bit-for-bit — same ball sizes, same possible/certain verdicts, same
 // counterexample configuration — while exploring only the ball's forward
 // closure, for every algorithm × policy in the matrix and every worker
 // count.
 
 import (
+	"context"
 	"testing"
 
 	"weakstab/internal/algorithms/coloring"
@@ -56,7 +57,7 @@ func ballMatrix(t *testing.T) []struct {
 func TestBallVerdictsMatchFullSpace(t *testing.T) {
 	const maxK = 2
 	for _, tc := range ballMatrix(t) {
-		full, err := Explore(tc.alg, tc.pol, 0)
+		full, err := ExploreWith(tc.alg, tc.pol, 0, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -95,18 +96,18 @@ func TestBallVerdictsMatchFullSpace(t *testing.T) {
 	}
 }
 
-// TestFaultBallMatchesDistanceVector pins FaultBall's enumeration against
+// TestFaultBallMatchesDistanceVector pins FaultBallContext's enumeration against
 // the full-space distance vector: the ball is exactly the states with
 // distance ≤ k, with matching distances.
 func TestFaultBallMatchesDistanceVector(t *testing.T) {
 	for _, tc := range ballMatrix(t) {
-		full, err := Explore(tc.alg, tc.pol, 0)
+		full, err := ExploreWith(tc.alg, tc.pol, 0, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		dist := full.DistanceToLegitimate()
 		for k := 0; k <= 2; k++ {
-			globals, ballDist, err := FaultBall(tc.alg, k, 0, 0)
+			globals, ballDist, err := FaultBallContext(context.Background(), tc.alg, k, 0, 0)
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", tc.name, k, err)
 			}
@@ -138,11 +139,11 @@ func TestFaultBallMatchesDistanceVector(t *testing.T) {
 // of growing past the state cap.
 func TestFaultBallRespectsCap(t *testing.T) {
 	a := mustTokenRing(t, 6)
-	if _, _, err := FaultBall(a, 2, 0, 40); err == nil {
+	if _, _, err := FaultBallContext(context.Background(), a, 2, 0, 40); err == nil {
 		t.Fatal("ball larger than the cap accepted")
 	}
 	// L itself has 24 configurations; a cap above the k=1 ball passes.
-	globals, _, err := FaultBall(a, 1, 0, 1000)
+	globals, _, err := FaultBallContext(context.Background(), a, 1, 0, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,10 +6,10 @@ package checker
 // enumeration and ONE closure exploration, not kmax of each. ballGrower
 // keeps the mutation BFS resumable (grow one shell at a time), BallSweep
 // pairs it with a resumable statespace.Builder for the closure, and
-// SweepKFaults drives the walk upward — sealing a canonical subspace and
+// SweepKFaultsContext drives the walk upward — sealing a canonical subspace and
 // classifying the k-fault verdict at every radius, stopping early at the
 // smallest k that breaks convergence when asked. Every sealed snapshot is
-// bit-identical to the from-scratch FaultBall/BallClosureWithContext at
+// bit-identical to the from-scratch FaultBallContext/BallClosureWithContext at
 // that k (pinned by the parity tests), so incremental is purely a cost
 // saving.
 //
@@ -245,31 +245,25 @@ func (b *ballGrower) sorted() ([]int64, []int) {
 }
 
 // BallSweep is a resumable k-fault sweep: the fault ball and its forward
-// closure, both grown incrementally. Grow extends the ball by one mutation
-// shell; Seal explores exactly the closure states not yet discovered and
-// snapshots a canonical subspace plus the sorted ball — bit-identical to
-// the from-scratch FaultBall + BallClosureWithContext at the current
-// radius. A k+1 sweep therefore extends the k ball and its subspace instead
+// closure, both grown incrementally. GrowToContext extends the ball one
+// mutation shell at a time; SealContext explores exactly the closure states
+// not yet discovered and snapshots a canonical subspace plus the sorted
+// ball — bit-identical to the from-scratch FaultBallContext +
+// BallClosureWithContext at the current radius. A k+1 sweep therefore extends the k ball and its subspace instead
 // of restarting.
 type BallSweep struct {
 	a       protocol.Algorithm
 	pol     scheduler.Policy
 	opt     statespace.Options
 	ball    *ballGrower
-	builder *statespace.Builder // lazily created at first Seal
+	builder *statespace.Builder // lazily created at first SealContext
 }
 
-// NewBallSweep returns the radius-0 sweep: the ball is the legitimate set
-// itself, enumerated in closed form when a implements
-// protocol.LegitEnumerator and by a legitimacy scan otherwise. opt has
-// BallClosureWithContext's semantics (MaxStates caps ball and closure
-// alike; results are independent of Workers).
-func NewBallSweep(a protocol.Algorithm, pol scheduler.Policy, opt statespace.Options) (*BallSweep, error) {
-	return NewBallSweepContext(context.Background(), a, pol, opt)
-}
-
-// NewBallSweepContext is NewBallSweep with cooperative cancellation of the
-// radius-0 seeding (the legitimacy scan on the no-enumerator path).
+// NewBallSweepContext returns the radius-0 sweep: the ball is the
+// legitimate set itself, enumerated in closed form when a implements
+// protocol.LegitEnumerator and by a legitimacy scan otherwise, which ctx
+// cancels per chunk. opt has BallClosureWithContext's semantics (MaxStates
+// caps ball and closure alike; results are independent of Workers).
 func NewBallSweepContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, opt statespace.Options) (*BallSweep, error) {
 	ball, err := newBallGrower(ctx, a, opt.Workers, opt.MaxStates)
 	if err != nil {
@@ -279,10 +273,10 @@ func NewBallSweepContext(ctx context.Context, a protocol.Algorithm, pol schedule
 }
 
 // ResumeBallSweep rebuilds a sweep at radius k from a previously produced
-// ball (globals and aligned distances, as FaultBall or a cache entry
-// returns them) and, optionally, its sealed closure subspace — the
+// ball (globals and aligned distances, as FaultBallContext or a cache
+// entry returns them) and, optionally, its sealed closure subspace — the
 // warm-cache resume path. ss may be nil: the closure is then explored from
-// the ball at the next Seal. ss is deep-copied, never aliased or mutated.
+// the ball at the next SealContext. ss is deep-copied, never aliased or mutated.
 func ResumeBallSweep(a protocol.Algorithm, pol scheduler.Policy, k int, globals []int64, dist []int, ss *statespace.Space, opt statespace.Options) (*BallSweep, error) {
 	if len(globals) != len(dist) {
 		return nil, fmt.Errorf("checker: ball of %d globals with %d distances", len(globals), len(dist))
@@ -306,31 +300,20 @@ func (s *BallSweep) K() int { return s.ball.k }
 // BallSize returns the number of configurations in the current ball.
 func (s *BallSweep) BallSize() int { return s.ball.ball.Len() }
 
-// Grow extends the ball from radius K to K+1 — one mutation shell, no
-// transition exploration (that happens at Seal).
-func (s *BallSweep) Grow() error { return s.ball.grow(context.Background()) }
-
-// GrowTo grows the ball to radius k (a no-op when already there).
-func (s *BallSweep) GrowTo(k int) error { return s.ball.growTo(context.Background(), k) }
-
-// GrowToContext is GrowTo with cooperative cancellation, checked once per
-// mutation shell.
+// GrowToContext grows the ball to radius k (a no-op when already there),
+// one mutation shell at a time with no transition exploration (that
+// happens at SealContext). ctx is checked once per mutation shell.
 func (s *BallSweep) GrowToContext(ctx context.Context, k int) error { return s.ball.growTo(ctx, k) }
 
-// Seal explores the forward closure of every ball configuration not yet
-// explored and returns a canonical snapshot: the closure subspace plus the
-// ball's globals and exact fault distances in ascending-global order —
+// SealContext explores the forward closure of every ball configuration not
+// yet explored and returns a canonical snapshot: the closure subspace plus
+// the ball's globals and exact fault distances in ascending-global order —
 // exactly what BallClosureWithContext returns from scratch, at the
 // incremental cost of the new states only. The snapshot is independent of
-// the sweep: Grow and Seal again freely. An empty ball (empty legitimate
+// the sweep: grow and seal again freely. An empty ball (empty legitimate
 // set) seals to a nil subspace with empty globals, mirroring
-// BallClosureWithContext.
-func (s *BallSweep) Seal() (*statespace.Space, []int64, []int, error) {
-	return s.SealContext(context.Background())
-}
-
-// SealContext is Seal with cooperative cancellation of the closure
-// exploration, checked at every BFS shell boundary.
+// BallClosureWithContext. ctx cancels the closure exploration, checked at
+// every BFS shell boundary.
 func (s *BallSweep) SealContext(ctx context.Context) (*statespace.Space, []int64, []int, error) {
 	globals, dist := s.ball.sorted()
 	if len(globals) == 0 {
@@ -377,7 +360,7 @@ type Sources struct {
 	Build SubSpaceBuilder
 	// Balls persists ball enumerations under (instance, k) keys.
 	Balls BallStore
-	// Subs loads and persists sealed closure spaces; SweepKFaults uses
+	// Subs loads and persists sealed closure spaces; SweepKFaultsContext uses
 	// it to make warm sweeps exploration-free.
 	Subs SubSpaceStore
 }
@@ -468,27 +451,24 @@ type SweepResult struct {
 	Dist    []int
 }
 
-// SweepKFaults walks k = 0..kmax with one incremental ball enumeration and
-// one incremental closure exploration in total: each radius extends the
-// previous ball and subspace instead of restarting, and every per-k verdict
-// is bit-identical to the from-scratch BallVerdicts at that k. With
-// stopAtBreak the walk ends at the smallest k whose certain-convergence
-// verdict fails — the "how many faults can the system absorb" search loop.
+// SweepKFaultsContext walks k = 0..kmax with one incremental ball
+// enumeration and one incremental closure exploration in total: each
+// radius extends the previous ball and subspace instead of restarting, and
+// every per-k verdict is bit-identical to the from-scratch BallVerdicts at
+// that k. With stopAtBreak the walk ends at the smallest k whose
+// certain-convergence verdict fails — the "how many faults can the system
+// absorb" search loop.
 //
 // The injected src makes the sweep cache-aware end to end: radii whose
 // ball and closure are both persisted are served with zero algorithm
 // callbacks, and the sweep resumes incremental exploration at the first
 // radius that misses.
-func SweepKFaults(src Sources, a protocol.Algorithm, pol scheduler.Policy, kmax int, opt statespace.Options, stopAtBreak bool) (*SweepResult, error) {
-	return SweepKFaultsContext(context.Background(), src, a, pol, kmax, opt, stopAtBreak)
-}
-
-// SweepKFaultsContext is SweepKFaults with cooperative cancellation: ctx
-// is checked at every sweep-radius boundary, and threads through to the
-// shell-granular checks of the ball enumeration and closure exploration —
-// so a cancelled sweep returns an error wrapping ctx.Err() without
-// finishing the walk, and the injected stores only ever see completed
-// radii.
+//
+// ctx is checked at every sweep-radius boundary, and threads through to
+// the shell-granular checks of the ball enumeration and closure
+// exploration — so a cancelled sweep returns an error wrapping ctx.Err()
+// without finishing the walk, and the injected stores only ever see
+// completed radii.
 func SweepKFaultsContext(ctx context.Context, src Sources, a protocol.Algorithm, pol scheduler.Policy, kmax int, opt statespace.Options, stopAtBreak bool) (*SweepResult, error) {
 	if kmax < 0 {
 		return nil, fmt.Errorf("checker: negative sweep radius %d", kmax)
@@ -524,7 +504,7 @@ func SweepKFaultsContext(ctx context.Context, src Sources, a protocol.Algorithm,
 					if !hit {
 						// Ball cached, closure not: resume the sweep from the
 						// ball (and the previous radius's closure, if any) so
-						// Seal explores only what is missing.
+						// SealContext explores only what is missing.
 						resumed, err := ResumeBallSweep(a, pol, k, g, d, res.Sub, opt)
 						if err != nil {
 							return nil, err

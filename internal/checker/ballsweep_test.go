@@ -138,17 +138,17 @@ func subSpacesEqual(t *testing.T, a, b *statespace.Space) bool {
 	return true
 }
 
-// TestFaultBallEnumeratorMatchesScan pins FaultBall's closed-form seeding
+// TestFaultBallEnumeratorMatchesScan pins FaultBallContext's closed-form seeding
 // bit-equal to the legitimacy-scan seeding, for every enumerator algorithm
 // and radius — the two paths must be indistinguishable downstream.
 func TestFaultBallEnumeratorMatchesScan(t *testing.T) {
 	for _, a := range enumeratorAlgorithms(t) {
 		for k := 0; k <= 2; k++ {
-			gEnum, dEnum, err := FaultBall(a, k, 0, 0)
+			gEnum, dEnum, err := FaultBallContext(context.Background(), a, k, 0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gScan, dScan, err := FaultBall(scanOnly{a}, k, 0, 0)
+			gScan, dScan, err := FaultBallContext(context.Background(), scanOnly{a}, k, 0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,7 +163,7 @@ func TestFaultBallEnumeratorMatchesScan(t *testing.T) {
 // TestBallSweepIncrementalParity pins the tentpole bit-equality: growing
 // one BallSweep through k = 0..K and sealing at every radius yields, at
 // each k, exactly the globals, distances and subspace arrays of a
-// from-scratch FaultBall + BallClosureWithContext at that k — for every
+// from-scratch FaultBallContext + BallClosureWithContext at that k — for every
 // policy and across worker counts.
 func TestBallSweepIncrementalParity(t *testing.T) {
 	const kmax = 2
@@ -181,15 +181,15 @@ func TestBallSweepIncrementalParity(t *testing.T) {
 		} {
 			for _, workers := range []int{1, 3, 8} {
 				opt := statespace.Options{Workers: workers}
-				sweep, err := NewBallSweep(a, pol, opt)
+				sweep, err := NewBallSweepContext(context.Background(), a, pol, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for k := 0; k <= kmax; k++ {
-					if err := sweep.GrowTo(k); err != nil {
+					if err := sweep.GrowToContext(context.Background(), k); err != nil {
 						t.Fatal(err)
 					}
-					ss, globals, dist, err := sweep.Seal()
+					ss, globals, dist, err := sweep.SealContext(context.Background())
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -238,10 +238,10 @@ func TestResumeBallSweepParity(t *testing.T) {
 		if sweep.K() != k {
 			t.Fatalf("resumed sweep at radius %d, want %d", sweep.K(), k)
 		}
-		if err := sweep.Grow(); err != nil {
+		if err := sweep.GrowToContext(context.Background(), k+1); err != nil {
 			t.Fatal(err)
 		}
-		gotSS, gotG, gotD, err := sweep.Seal()
+		gotSS, gotG, gotD, err := sweep.SealContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +272,7 @@ func TestSweepKFaultsMatchesFromScratch(t *testing.T) {
 	n := int64(inner.Graph().N())
 
 	counted := &countingEnumAlg{LegitEnumerator: inner}
-	res, err := SweepKFaults(Sources{}, counted, pol, kmax, opt, false)
+	res, err := SweepKFaultsContext(context.Background(), Sources{}, counted, pol, kmax, opt, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestSweepKFaultsMatchesFromScratch(t *testing.T) {
 
 	// Early stop: the token ring breaks certain convergence at k=1, so a
 	// stop-at-break sweep must end there without exploring radius 2.
-	stopped, err := SweepKFaults(Sources{}, inner, pol, kmax, opt, true)
+	stopped, err := SweepKFaultsContext(context.Background(), Sources{}, inner, pol, kmax, opt, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestSweepKFaultsScanAccounting(t *testing.T) {
 	pol := scheduler.CentralPolicy{}
 	counted := &countingAlg{Algorithm: scanOnly{inner}}
 	const kmax = 2
-	res, err := SweepKFaults(Sources{}, counted, pol, kmax, statespace.Options{}, false)
+	res, err := SweepKFaultsContext(context.Background(), Sources{}, counted, pol, kmax, statespace.Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,12 +361,12 @@ func TestSweepKFaultsWarmCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := SweepKFaults(CacheSources(cache), inner, pol, kmax, opt, false)
+	cold, err := SweepKFaultsContext(context.Background(), CacheSources(cache), inner, pol, kmax, opt, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	counted := &countingEnumAlg{LegitEnumerator: inner}
-	warm, err := SweepKFaults(CacheSources(cache), counted, pol, kmax, opt, false)
+	warm, err := SweepKFaultsContext(context.Background(), CacheSources(cache), counted, pol, kmax, opt, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func TestSweepKFaultsWarmCache(t *testing.T) {
 
 	// Prefix-warm resume: a cache holding only radii 0..kmax serves a
 	// kmax+1 sweep warm up to kmax and explores just the last shell.
-	extended, err := SweepKFaults(CacheSources(cache), inner, pol, kmax+1, opt, false)
+	extended, err := SweepKFaultsContext(context.Background(), CacheSources(cache), inner, pol, kmax+1, opt, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +432,7 @@ func TestSweepKFaultsWarmCache(t *testing.T) {
 		}
 	}
 	counted2 := &countingEnumAlg{LegitEnumerator: inner}
-	resumed, err := SweepKFaults(CacheSources(cache), counted2, pol, kmax, opt, false)
+	resumed, err := SweepKFaultsContext(context.Background(), CacheSources(cache), counted2, pol, kmax, opt, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +458,7 @@ func TestSweepKFaultsEmptyLegitimateSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SweepKFaults(Sources{}, ablation, scheduler.CentralPolicy{}, 2, statespace.Options{}, false)
+	res, err := SweepKFaultsContext(context.Background(), Sources{}, ablation, scheduler.CentralPolicy{}, 2, statespace.Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

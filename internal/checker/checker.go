@@ -42,15 +42,11 @@ type Space struct {
 	*statespace.Space
 }
 
-// Explore enumerates every configuration and its successors under every
-// activation subset the policy allows (and every probabilistic outcome),
-// in parallel over index ranges. maxStates caps the space (0 means
+// ExploreWith enumerates every configuration and its successors under
+// every activation subset the policy allows (and every probabilistic
+// outcome), in parallel over index ranges on a pool of workers (0 =
+// NumCPU). maxStates caps the space (0 means
 // statespace.DefaultMaxStates).
-func Explore(a protocol.Algorithm, pol scheduler.Policy, maxStates int64) (*Space, error) {
-	return ExploreWith(a, pol, maxStates, 0)
-}
-
-// ExploreWith is Explore with an explicit worker-pool size (0 = NumCPU).
 func ExploreWith(a protocol.Algorithm, pol scheduler.Policy, maxStates int64, workers int) (*Space, error) {
 	sp, err := statespace.BuildContext(context.Background(), a, pol, statespace.Options{MaxStates: maxStates, Workers: workers})
 	if err != nil {
@@ -232,13 +228,8 @@ func (v Verdict) WeakStabilizing() bool { return v.Closure.Holds && v.Possible.H
 // SelfStabilizing reports Definition 1.
 func (v Verdict) SelfStabilizing() bool { return v.Closure.Holds && v.Certain.Holds }
 
-// Classify explores the algorithm under the policy and evaluates all
-// properties.
-func Classify(a protocol.Algorithm, pol scheduler.Policy, maxStates int64) (Verdict, error) {
-	return ClassifyWith(a, pol, maxStates, 0)
-}
-
-// ClassifyWith is Classify with an explicit worker-pool size (0 = NumCPU).
+// ClassifyWith explores the algorithm under the policy on a pool of
+// workers (0 = NumCPU) and evaluates all properties.
 func ClassifyWith(a protocol.Algorithm, pol scheduler.Policy, maxStates int64, workers int) (Verdict, error) {
 	sp, err := ExploreWith(a, pol, maxStates, workers)
 	if err != nil {

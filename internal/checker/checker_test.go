@@ -37,7 +37,7 @@ func mustLeaderChain(t *testing.T, n int) *leadertree.Algorithm {
 
 func classify(t *testing.T, a protocol.Algorithm, pol scheduler.Policy) Verdict {
 	t.Helper()
-	v, err := Classify(a, pol, 0)
+	v, err := ClassifyWith(a, pol, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestDijkstraTooFewStatesFails(t *testing.T) {
 func TestClosureViolationWitness(t *testing.T) {
 	// An algorithm with a broken legitimate set yields a closure witness.
 	a := badClosure{mustTokenRing(t, 3)}
-	sp, err := Explore(a, scheduler.CentralPolicy{}, 0)
+	sp, err := ExploreWith(a, scheduler.CentralPolicy{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestCertainConvergenceDeadlockWitness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := Explore(a, scheduler.CentralPolicy{}, 0)
+	sp, err := ExploreWith(a, scheduler.CentralPolicy{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestCertainConvergenceDeadlockWitness(t *testing.T) {
 
 func TestWitnessPath(t *testing.T) {
 	a := mustTokenRing(t, 5)
-	sp, err := Explore(a, scheduler.CentralPolicy{}, 0)
+	sp, err := ExploreWith(a, scheduler.CentralPolicy{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestWitnessPath(t *testing.T) {
 
 func TestWitnessPathFromLegitimate(t *testing.T) {
 	a := mustTokenRing(t, 5)
-	sp, err := Explore(a, scheduler.CentralPolicy{}, 0)
+	sp, err := ExploreWith(a, scheduler.CentralPolicy{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestTheorem6FairLassoOnTokenRing(t *testing.T) {
 	// The checker finds a strongly fair non-converging lasso for the
 	// 6-ring (Theorem 6's two-token alternation, machine-discovered).
 	a := mustTokenRing(t, 6)
-	sp, err := Explore(a, scheduler.CentralPolicy{}, 0)
+	sp, err := ExploreWith(a, scheduler.CentralPolicy{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestNoFairLassoForSelfStabilizing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := Explore(a, scheduler.CentralPolicy{}, 0)
+	sp, err := ExploreWith(a, scheduler.CentralPolicy{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestNoFairLassoForSelfStabilizing(t *testing.T) {
 
 func TestFigure3LivelockDetectedSynchronously(t *testing.T) {
 	a := mustLeaderChain(t, 4)
-	sp, err := Explore(a, scheduler.SynchronousPolicy{}, 0)
+	sp, err := ExploreWith(a, scheduler.SynchronousPolicy{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestFigure3LivelockDetectedSynchronously(t *testing.T) {
 
 func TestMaxShortestConvergencePath(t *testing.T) {
 	a := mustTokenRing(t, 5)
-	sp, err := Explore(a, scheduler.CentralPolicy{}, 0)
+	sp, err := ExploreWith(a, scheduler.CentralPolicy{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestMaxShortestConvergencePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spBad, err := Explore(bad, scheduler.CentralPolicy{}, 0)
+	spBad, err := ExploreWith(bad, scheduler.CentralPolicy{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestMaxShortestConvergencePath(t *testing.T) {
 
 func TestExploreTerminalStates(t *testing.T) {
 	a := mustLeaderChain(t, 2)
-	sp, err := Explore(a, scheduler.DistributedPolicy{}, 0)
+	sp, err := ExploreWith(a, scheduler.DistributedPolicy{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

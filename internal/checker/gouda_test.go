@@ -15,7 +15,7 @@ func TestStronglyFairLassoIsNotGoudaFair(t *testing.T) {
 	// diverging lasso of the 6-ring omits transitions (e.g. merging
 	// moves), so it is not Gouda fair.
 	a := mustTokenRing(t, 6)
-	sp, err := Explore(a, scheduler.CentralPolicy{}, 0)
+	sp, err := ExploreWith(a, scheduler.CentralPolicy{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestGoudaFairLassoWithinLegitimateSet(t *testing.T) {
 	// The legitimate token circulation takes its unique transition every
 	// step: the full 1-token rotation is a Gouda-fair lasso.
 	a := mustTokenRing(t, 5)
-	sp, err := Explore(a, scheduler.CentralPolicy{}, 0)
+	sp, err := ExploreWith(a, scheduler.CentralPolicy{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestGoudaFairLassoWithinLegitimateSet(t *testing.T) {
 
 func TestGoudaFairLassoEmptyAndPartial(t *testing.T) {
 	a := mustTokenRing(t, 4)
-	sp, err := Explore(a, scheduler.CentralPolicy{}, 0)
+	sp, err := ExploreWith(a, scheduler.CentralPolicy{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestNoGoudaFairDivergenceOnWeakStabilizers(t *testing.T) {
 	algs := []protocol.Algorithm{mustTokenRing(t, 5), mustTokenRing(t, 6), lt}
 	for _, a := range algs {
 		for _, pol := range []scheduler.Policy{scheduler.CentralPolicy{}, scheduler.DistributedPolicy{}} {
-			sp, err := Explore(a, pol, 0)
+			sp, err := ExploreWith(a, pol, 0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,7 +115,7 @@ func TestGoudaFairDivergenceExistsWhenNotWeakStabilizing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := Explore(a, scheduler.SynchronousPolicy{}, 0)
+	sp, err := ExploreWith(a, scheduler.SynchronousPolicy{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

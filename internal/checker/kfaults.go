@@ -18,7 +18,7 @@ package checker
 // whole configuration space. The ball enumeration seeds from the
 // algorithm's closed-form legitimate set (protocol.LegitEnumerator) when
 // available, so the pipeline is strictly ball-sized; BallSweep and
-// SweepKFaults (ballsweep.go) make it incremental across k on top of the
+// SweepKFaultsContext (ballsweep.go) make it incremental across k on top of the
 // same machinery.
 
 import (
@@ -165,7 +165,7 @@ func (sp *Space) divergingStates() []bool {
 	return bad
 }
 
-// FaultBall enumerates every configuration at fault distance at most k
+// FaultBallContext enumerates every configuration at fault distance at most k
 // from the legitimate set of a, without exploring any transition. The seed
 // set L comes from the algorithm's closed-form enumeration when it
 // implements protocol.LegitEnumerator — zero full-range passes — and from
@@ -176,19 +176,13 @@ func (sp *Space) divergingStates() []bool {
 // ball, not the range (statespace.Dedup); time is O(|L| × Σ_p |domain_p|)
 // plus O(range) only on the scan path. maxStates caps the ball size (0
 // means statespace.DefaultMaxStates), mirroring every other exploration
-// path.
+// path. ctx is checked before every mutation shell (and per chunk of the
+// legitimacy scan on the no-enumerator path), so a cancelled enumeration
+// returns an error wrapping ctx.Err() in bounded time.
 //
-// FaultBall is the one-shot face of the resumable BallSweep: callers
-// walking k upward (the smallest-k-that-breaks search) keep a BallSweep
-// alive and Grow it instead of re-enumerating per k.
-func FaultBall(a protocol.Algorithm, k int, workers int, maxStates int64) ([]int64, []int, error) {
-	return FaultBallContext(context.Background(), a, k, workers, maxStates)
-}
-
-// FaultBallContext is FaultBall with cooperative cancellation: ctx is
-// checked before every mutation shell (and per chunk of the legitimacy
-// scan on the no-enumerator path), so a cancelled enumeration returns an
-// error wrapping ctx.Err() in bounded time.
+// FaultBallContext is the one-shot face of the resumable BallSweep:
+// callers walking k upward (the smallest-k-that-breaks search) keep a
+// BallSweep alive and grow it instead of re-enumerating per k.
 func FaultBallContext(ctx context.Context, a protocol.Algorithm, k int, workers int, maxStates int64) ([]int64, []int, error) {
 	b, err := newBallGrower(ctx, a, workers, maxStates)
 	if err != nil {
@@ -210,7 +204,7 @@ func FaultBallContext(ctx context.Context, a protocol.Algorithm, k int, workers 
 type SubSpaceBuilder func(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (*statespace.Space, error)
 
 // BallLocalDistances maps the ball enumeration (globals and aligned fault
-// distances, as returned by FaultBall or BallClosureWithContext) onto the
+// distances, as returned by FaultBallContext or BallClosureWithContext) onto the
 // local state ids of the ball's closure subspace: ball members carry their
 // exact distance, closure states discovered beyond the ball are marked -1
 // (they are not initial configurations of any k'-fault scenario). A nil

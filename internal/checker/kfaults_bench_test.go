@@ -1,6 +1,7 @@
 package checker
 
 import (
+	"context"
 	"testing"
 
 	"weakstab/internal/algorithms/tokenring"
@@ -18,7 +19,7 @@ func BenchmarkDistanceToLegitimate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sp, err := Explore(a, scheduler.CentralPolicy{}, 0)
+	sp, err := ExploreWith(a, scheduler.CentralPolicy{}, 0, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func BenchmarkFaultBallEnumeration(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		globals, _, err := FaultBall(a, 2, 0, 0)
+		globals, _, err := FaultBallContext(context.Background(), a, 2, 0, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -10,7 +10,7 @@ import (
 
 func TestDistanceToLegitimateTokenRing(t *testing.T) {
 	a := mustTokenRing(t, 5)
-	sp, err := Explore(a, scheduler.CentralPolicy{}, 0)
+	sp, err := ExploreWith(a, scheduler.CentralPolicy{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestDistanceToLegitimateTokenRing(t *testing.T) {
 func TestDistanceTriangleUnderMutation(t *testing.T) {
 	// Changing one process's state changes the distance by at most 1.
 	a := mustTokenRing(t, 4)
-	sp, err := Explore(a, scheduler.CentralPolicy{}, 0)
+	sp, err := ExploreWith(a, scheduler.CentralPolicy{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestKFaultsDijkstraAlwaysCertain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := Explore(a, scheduler.CentralPolicy{}, 0)
+	sp, err := ExploreWith(a, scheduler.CentralPolicy{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestKFaultsTokenRingCertainFailsBeyondZero(t *testing.T) {
 	// Algorithm 1 is not deterministically k-stabilizing for any k >= 1:
 	// one corrupted process can already yield two alternating tokens.
 	a := mustTokenRing(t, 6)
-	sp, err := Explore(a, scheduler.CentralPolicy{}, 0)
+	sp, err := ExploreWith(a, scheduler.CentralPolicy{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestKFaultsTokenRingCertainFailsBeyondZero(t *testing.T) {
 
 func TestKFaultsMonotoneInK(t *testing.T) {
 	a := mustTokenRing(t, 5)
-	sp, err := Explore(a, scheduler.DistributedPolicy{}, 0)
+	sp, err := ExploreWith(a, scheduler.DistributedPolicy{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func BenchmarkKSweepIncremental(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := SweepKFaults(Sources{}, a, scheduler.CentralPolicy{}, benchSweepK, statespace.Options{}, false)
+		res, err := SweepKFaultsContext(context.Background(), Sources{}, a, scheduler.CentralPolicy{}, benchSweepK, statespace.Options{}, false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func BenchmarkFaultBallSeedEnumerated(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		globals, _, err := FaultBall(a, 1, 0, 0)
+		globals, _, err := FaultBallContext(context.Background(), a, 1, 0, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func BenchmarkFaultBallSeedScan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		globals, _, err := FaultBall(scanOnly{a}, 1, 0, 0)
+		globals, _, err := FaultBallContext(context.Background(), scanOnly{a}, 1, 0, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -42,7 +42,7 @@ func TestWorstCaseWitnessMatchesQuadraticReference(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sp, err := Explore(tc.alg, tc.pol, 0)
+			sp, err := ExploreWith(tc.alg, tc.pol, 0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

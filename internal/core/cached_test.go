@@ -1,12 +1,15 @@
 package core
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 
 	"weakstab/internal/algorithms/tokenring"
 	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
+	"weakstab/internal/spacecache"
+	"weakstab/internal/statespace"
 )
 
 // countingAlg counts Legitimate evaluations — the one callback only
@@ -26,10 +29,61 @@ func (c *countingAlg) Legitimate(cfg protocol.Configuration) bool {
 	return c.Deterministic.Legitimate(cfg)
 }
 
+// analyzeCached explores through the disk cache at dir — load-or-build,
+// the full space when seeds is nil and the seeds' forward closure
+// otherwise — with the zero-copy mmap load path on or off, and classifies
+// the result: the explore-then-AnalyzeSpaceContext path every job runs.
+func analyzeCached(t *testing.T, dir string, mmap bool, a protocol.Algorithm, pol scheduler.Policy, seeds []protocol.Configuration, opt statespace.Options) *Report {
+	t.Helper()
+	cache, err := spacecache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache.SetMmap(mmap)
+	ctx := context.Background()
+	var sp *statespace.Space
+	if seeds == nil {
+		sp, _, err = cache.BuildSpaceContext(ctx, a, pol, opt)
+	} else {
+		sp, _, err = cache.BuildSubSpaceFromConfigsContext(ctx, a, pol, seeds, opt)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	rep, err := AnalyzeSpaceContext(ctx, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// assertWarmParity runs the cold analysis of inner through a fresh cache,
+// then a warm one on the mmap path and one on the decode path: each warm
+// run must perform zero exploration and render a bit-identical report —
+// hierarchy verdicts, expected hitting times, radii and all.
+func assertWarmParity(t *testing.T, inner protocol.Deterministic, pol scheduler.Policy, seeds []protocol.Configuration, opt statespace.Options) *Report {
+	t.Helper()
+	dir := t.TempDir()
+	cold := analyzeCached(t, dir, true, inner, pol, seeds, opt)
+	for _, mmap := range []bool{true, false} {
+		warm := &countingAlg{Deterministic: inner}
+		rep := analyzeCached(t, dir, mmap, warm, pol, seeds, opt)
+		if warm.calls.Load() != 0 {
+			t.Fatalf("%s (mmap=%v): warm run made %d exploration calls, want 0 (cache missed)", pol.Name(), mmap, warm.calls.Load())
+		}
+		if *rep != *cold {
+			t.Fatalf("%s (mmap=%v): warm report differs from cold:\ncold: %+v\nwarm: %+v", pol.Name(), mmap, *cold, *rep)
+		}
+		if rep.String() != cold.String() {
+			t.Fatalf("%s (mmap=%v): rendered reports differ", pol.Name(), mmap)
+		}
+	}
+	return cold
+}
+
 // TestAnalyzeCachedParity pins the cache's end-to-end contract on the
-// decision procedure: a warm AnalyzeWith run performs zero exploration and
-// renders a bit-identical report — hierarchy verdicts, expected hitting
-// times, radii and all.
+// decision procedure over the full space, under every policy.
 func TestAnalyzeCachedParity(t *testing.T) {
 	inner, err := tokenring.New(6)
 	if err != nil {
@@ -38,25 +92,7 @@ func TestAnalyzeCachedParity(t *testing.T) {
 	for _, pol := range []scheduler.Policy{
 		scheduler.CentralPolicy{}, scheduler.DistributedPolicy{}, scheduler.SynchronousPolicy{},
 	} {
-		dir := t.TempDir()
-		cold, err := AnalyzeWith(inner, pol, Options{CacheDir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm := &countingAlg{Deterministic: inner}
-		rep, err := AnalyzeWith(warm, pol, Options{CacheDir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if warm.calls.Load() != 0 {
-			t.Fatalf("%s: warm run made %d exploration calls, want 0 (cache missed)", pol.Name(), warm.calls.Load())
-		}
-		if *rep != *cold {
-			t.Fatalf("%s: warm report differs from cold:\ncold: %+v\nwarm: %+v", pol.Name(), *cold, *rep)
-		}
-		if rep.String() != cold.String() {
-			t.Fatalf("%s: rendered reports differ", pol.Name())
-		}
+		assertWarmParity(t, inner, pol, nil, statespace.Options{})
 	}
 }
 
@@ -66,24 +102,8 @@ func TestAnalyzeFromCachedParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol := scheduler.CentralPolicy{}
 	seeds := []protocol.Configuration{{1, 0, 2, 1, 0, 3}, {0, 0, 0, 0, 0, 0}}
-	dir := t.TempDir()
-	cold, err := AnalyzeFrom(inner, pol, seeds, Options{CacheDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := &countingAlg{Deterministic: inner}
-	rep, err := AnalyzeFrom(warm, pol, seeds, Options{CacheDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.calls.Load() != 0 {
-		t.Fatalf("warm frontier run made %d exploration calls, want 0", warm.calls.Load())
-	}
-	if *rep != *cold {
-		t.Fatalf("warm report differs from cold:\ncold: %+v\nwarm: %+v", *cold, *rep)
-	}
+	assertWarmParity(t, inner, scheduler.CentralPolicy{}, seeds, statespace.Options{})
 }
 
 // TestAnalyzeCachedLargeInstance is the acceptance-scale check: a repeated
@@ -98,24 +118,8 @@ func TestAnalyzeCachedLargeInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol := scheduler.CentralPolicy{}
-	dir := t.TempDir()
-	cold, err := AnalyzeWith(inner, pol, Options{CacheDir: dir, MaxStates: 1 << 21})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := assertWarmParity(t, inner, scheduler.CentralPolicy{}, nil, statespace.Options{MaxStates: 1 << 21})
 	if cold.States < 100_000 {
 		t.Fatalf("instance has %d states, want ≥ 10^5 for the acceptance-scale check", cold.States)
-	}
-	warm := &countingAlg{Deterministic: inner}
-	rep, err := AnalyzeWith(warm, pol, Options{CacheDir: dir, MaxStates: 1 << 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.calls.Load() != 0 {
-		t.Fatalf("warm run explored (%d algorithm calls), want a pure cache load", warm.calls.Load())
-	}
-	if *rep != *cold || rep.String() != cold.String() {
-		t.Fatal("warm report not bit-identical to cold report")
 	}
 }

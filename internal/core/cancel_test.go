@@ -1,7 +1,7 @@
 package core
 
-// Cancellation tests for the analysis facade: every Context variant
-// propagates into its exploration and solver stages.
+// Cancellation tests for the analysis entry points: a canceled context
+// propagates into their exploration and solver stages.
 
 import (
 	"context"
@@ -9,7 +9,10 @@ import (
 	"testing"
 
 	"weakstab/internal/algorithms/tokenring"
+	"weakstab/internal/checker"
 	"weakstab/internal/scheduler"
+	"weakstab/internal/spacecache"
+	"weakstab/internal/statespace"
 )
 
 func TestAnalyzeWithContextPreCanceled(t *testing.T) {
@@ -19,11 +22,13 @@ func TestAnalyzeWithContextPreCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := AnalyzeWithContext(ctx, ring, scheduler.CentralPolicy{}, Options{}); !errors.Is(err, context.Canceled) {
+	if _, err := AnalyzeWithContext(ctx, ring, scheduler.CentralPolicy{}, statespace.Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled AnalyzeWithContext: err = %v, want a wrapped context.Canceled", err)
 	}
 }
 
+// TestSweepKFaultsContextPreCanceled pins the k-fault sweep the way
+// service.Execute runs it (through the cache adapter, here over no cache).
 func TestSweepKFaultsContextPreCanceled(t *testing.T) {
 	ring, err := tokenring.New(5)
 	if err != nil {
@@ -31,7 +36,7 @@ func TestSweepKFaultsContextPreCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SweepKFaultsContext(ctx, ring, scheduler.CentralPolicy{}, 2, Options{}, true); !errors.Is(err, context.Canceled) {
+	if _, err := checker.SweepKFaultsContext(ctx, checker.CacheSources((*spacecache.Cache)(nil)), ring, scheduler.CentralPolicy{}, 2, statespace.Options{}, true); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled SweepKFaultsContext: err = %v, want a wrapped context.Canceled", err)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -12,12 +13,13 @@ import (
 	"weakstab/internal/graph"
 	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
+	"weakstab/internal/statespace"
 	"weakstab/internal/transformer"
 )
 
 func analyze(t *testing.T, a protocol.Algorithm, pol scheduler.Policy) *Report {
 	t.Helper()
-	rep, err := Analyze(a, pol, 0)
+	rep, err := AnalyzeWithContext(context.Background(), a, pol, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

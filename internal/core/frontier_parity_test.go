@@ -22,6 +22,7 @@ import (
 	"weakstab/internal/markov"
 	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
+	"weakstab/internal/spacecache"
 	"weakstab/internal/statespace"
 	"weakstab/internal/transformer"
 )
@@ -70,7 +71,7 @@ func TestAnalyzeSubSpaceFullSeedParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		want, err := AnalyzeSpace(full)
+		want, err := AnalyzeSpaceContext(context.Background(), full)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -83,7 +84,7 @@ func TestAnalyzeSubSpaceFullSeedParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s w=%d: %v", tc.name, workers, err)
 			}
-			got, err := AnalyzeSpace(ss)
+			got, err := AnalyzeSpaceContext(context.Background(), ss)
 			if err != nil {
 				t.Fatalf("%s w=%d: %v", tc.name, workers, err)
 			}
@@ -124,12 +125,12 @@ func TestSubSpaceAnalysesBitEqualOnClosure(t *testing.T) {
 		}
 		fullTarget := markov.TargetFromSpace(full)
 		fullProbOne := fullChain.ReachesWithProbOne(fullTarget)
-		fullH, err := fullChain.HittingTimes(fullTarget)
+		fullH, err := fullChain.HittingTimesContext(context.Background(), fullTarget)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 
-		ball, _, err := checker.FaultBall(tc.alg, 1, 0, 0)
+		ball, _, err := checker.FaultBallContext(context.Background(), tc.alg, 1, 0, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -146,7 +147,7 @@ func TestSubSpaceAnalysesBitEqualOnClosure(t *testing.T) {
 				}
 				target := markov.TargetFromSpace(ss)
 				probOne := chain.ReachesWithProbOne(target)
-				h, err := chain.HittingTimes(target)
+				h, err := chain.HittingTimesContext(context.Background(), target)
 				if err != nil {
 					t.Fatalf("%s seeds#%d w=%d: %v", tc.name, si, workers, err)
 				}
@@ -165,8 +166,22 @@ func TestSubSpaceAnalysesBitEqualOnClosure(t *testing.T) {
 	}
 }
 
-// TestAnalyzeFrom covers the seed-configuration entry point: parity with
-// AnalyzeSpace over the same closure, and seed validation errors.
+// analyzeFrom classifies the forward closure of seed configurations the way
+// service.Execute does for explicit seeds: explored through the cache's
+// seed-configuration entry point (a nil cache builds in process), then
+// AnalyzeSpaceContext.
+func analyzeFrom(a protocol.Algorithm, pol scheduler.Policy, seeds []protocol.Configuration) (*Report, error) {
+	ctx := context.Background()
+	ss, _, err := (*spacecache.Cache)(nil).BuildSubSpaceFromConfigsContext(ctx, a, pol, seeds, statespace.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return AnalyzeSpaceContext(ctx, ss)
+}
+
+// TestAnalyzeFrom covers the seed-configuration path: parity with
+// statespace.BuildFromConfigsContext + AnalyzeSpaceContext over the same
+// closure, and seed validation errors.
 func TestAnalyzeFrom(t *testing.T) {
 	ring, err := tokenring.New(5)
 	if err != nil {
@@ -174,7 +189,7 @@ func TestAnalyzeFrom(t *testing.T) {
 	}
 	pol := scheduler.CentralPolicy{}
 	seeds := []protocol.Configuration{{1, 1, 1, 1, 1}}
-	got, err := AnalyzeFrom(ring, pol, seeds, Options{})
+	got, err := analyzeFrom(ring, pol, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +197,7 @@ func TestAnalyzeFrom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := AnalyzeSpace(ss)
+	want, err := AnalyzeSpaceContext(context.Background(), ss)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,15 +206,15 @@ func TestAnalyzeFrom(t *testing.T) {
 		got.CertainConvergence != want.CertainConvergence ||
 		got.ProbabilisticConvergence != want.ProbabilisticConvergence ||
 		got.ExpectedSteps != want.ExpectedSteps {
-		t.Fatalf("AnalyzeFrom report %+v differs from AnalyzeSpace %+v", got, want)
+		t.Fatalf("seed-path report %+v differs from AnalyzeSpaceContext %+v", got, want)
 	}
 	if got.States >= int(got.TotalConfigs) {
 		t.Fatalf("seed closure covers the whole space (%d of %d)", got.States, got.TotalConfigs)
 	}
-	if _, err := AnalyzeFrom(ring, pol, []protocol.Configuration{{1, 1}}, Options{}); err == nil {
+	if _, err := analyzeFrom(ring, pol, []protocol.Configuration{{1, 1}}); err == nil {
 		t.Fatal("short seed accepted")
 	}
-	if _, err := AnalyzeFrom(ring, pol, nil, Options{}); err == nil {
+	if _, err := analyzeFrom(ring, pol, nil); err == nil {
 		t.Fatal("empty seed set accepted")
 	}
 }

@@ -2,13 +2,15 @@ package core_test
 
 // Parity: the Report produced via the shared parallel engine must match
 // the pre-refactor two-pass results. statespace.BuildReference preserves
-// the seed-era enumeration (the exact code path checker.Explore and
-// markov.FromAlgorithm each ran before they shared one engine), so running
+// the seed-era enumeration (the exact code path the checker's and the
+// Markov chain's separate explorations each ran before they shared one
+// engine), so running
 // the unchanged analyses over it reproduces the pre-refactor reports; the
 // test pins the engine's reports to those for every algorithm in the
 // library across the three scheduler policies.
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -91,11 +93,11 @@ func TestAnalyzeParityWithTwoPassReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: reference exploration: %v", label, err)
 			}
-			want, err := core.AnalyzeSpace(ref)
+			want, err := core.AnalyzeSpaceContext(context.Background(), ref)
 			if err != nil {
 				t.Fatalf("%s: reference analysis: %v", label, err)
 			}
-			got, err := core.AnalyzeWith(a, pol, core.Options{Workers: 3})
+			got, err := core.AnalyzeWithContext(context.Background(), a, pol, statespace.Options{Workers: 3})
 			if err != nil {
 				t.Fatalf("%s: engine analysis: %v", label, err)
 			}

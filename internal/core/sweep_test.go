@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"weakstab/internal/algorithms/centers"
@@ -13,6 +14,7 @@ import (
 	"weakstab/internal/graph"
 	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
+	"weakstab/internal/statespace"
 	"weakstab/internal/transformer"
 )
 
@@ -68,7 +70,7 @@ func TestHierarchySweepAllAlgorithms(t *testing.T) {
 	}
 	for _, a := range algs {
 		for _, pol := range pols {
-			rep, err := Analyze(a, pol, 0)
+			rep, err := AnalyzeWithContext(context.Background(), a, pol, statespace.Options{})
 			if err != nil {
 				t.Fatalf("%s under %s: %v", a.Name(), pol.Name(), err)
 			}
@@ -123,11 +125,11 @@ func TestTransformerNeverWeakens(t *testing.T) {
 	}
 	for _, det := range dets {
 		for _, pol := range pols {
-			raw, err := Analyze(det, pol, 0)
+			raw, err := AnalyzeWithContext(context.Background(), det, pol, statespace.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			trans, err := Analyze(transformer.New(det), pol, 0)
+			trans, err := AnalyzeWithContext(context.Background(), transformer.New(det), pol, statespace.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 	"weakstab/internal/graph"
 	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
+	"weakstab/internal/statespace"
 )
 
 func init() {
@@ -55,7 +57,7 @@ func runE16(w io.Writer, opt Options) error {
 		if err != nil {
 			return err
 		}
-		rf, err := core.AnalyzeWith(finder, scheduler.CentralPolicy{}, core.Options{Workers: opt.Workers})
+		rf, err := core.AnalyzeWithContext(context.Background(), finder, scheduler.CentralPolicy{}, statespace.Options{Workers: opt.Workers})
 		if err != nil {
 			return err
 		}
@@ -66,7 +68,7 @@ func runE16(w io.Writer, opt Options) error {
 		for _, pol := range []scheduler.Policy{
 			scheduler.CentralPolicy{}, scheduler.DistributedPolicy{}, scheduler.SynchronousPolicy{},
 		} {
-			re, err := core.AnalyzeWith(elector, pol, core.Options{Workers: opt.Workers})
+			re, err := core.AnalyzeWithContext(context.Background(), elector, pol, statespace.Options{Workers: opt.Workers})
 			if err != nil {
 				return err
 			}

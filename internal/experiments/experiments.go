@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"weakstab/internal/spacecache"
 )
 
 // Options tunes experiment execution.
@@ -34,6 +36,17 @@ type Options struct {
 	// NoMmap forces cache loads onto the streaming decode path instead of
 	// the default zero-copy mmap path (bit-equal either way).
 	NoMmap bool
+}
+
+// openCache opens the options' disk space cache with their load mode
+// applied (a nil, pass-through cache when CacheDir is empty).
+func (o Options) openCache() (*spacecache.Cache, error) {
+	cache, err := spacecache.Open(o.CacheDir)
+	if err != nil {
+		return nil, err
+	}
+	cache.SetMmap(!o.NoMmap)
+	return cache, nil
 }
 
 func (o Options) seed() int64 {

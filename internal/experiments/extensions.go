@@ -78,7 +78,7 @@ func runE13(w io.Writer, opt Options) error {
 		return err
 	}
 	target := markov.TargetFromSpace(ts)
-	h, err := chain.HittingTimes(target)
+	h, err := chain.HittingTimesContext(context.Background(), target)
 	if err != nil {
 		return err
 	}
@@ -200,7 +200,7 @@ func runE15(w io.Writer, opt Options) error {
 		{trans, scheduler.SynchronousPolicy{}, core.ClassProbabilistic},
 	}
 	for _, r := range rows {
-		rep, err := core.AnalyzeWith(r.alg, r.pol, core.Options{Workers: opt.Workers})
+		rep, err := core.AnalyzeWithContext(context.Background(), r.alg, r.pol, statespace.Options{Workers: opt.Workers})
 		if err != nil {
 			return err
 		}

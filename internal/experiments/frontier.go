@@ -17,7 +17,6 @@ import (
 	"weakstab/internal/algorithms/tokenring"
 	"weakstab/internal/checker"
 	"weakstab/internal/scheduler"
-	"weakstab/internal/spacecache"
 	"weakstab/internal/statespace"
 	"weakstab/internal/transformer"
 )
@@ -50,11 +49,10 @@ func runE18(w io.Writer, opt Options) error {
 		return err
 	}
 	pol := scheduler.CentralPolicy{}
-	cache, err := spacecache.Open(opt.CacheDir)
+	cache, err := opt.openCache()
 	if err != nil {
 		return err
 	}
-	cache.SetMmap(!opt.NoMmap)
 	ssOpt := statespace.Options{Workers: opt.Workers}
 
 	// Full-space reference verdicts (the classic path) — through the cache,

@@ -75,7 +75,7 @@ func netsimExactParity(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	h, err := chain.HittingTimes(markov.TargetFromSpace(sp))
+	h, err := chain.HittingTimesContext(context.Background(), markov.TargetFromSpace(sp))
 	if err != nil {
 		return err
 	}
@@ -88,7 +88,7 @@ func netsimExactParity(w io.Writer, opt Options) error {
 	cfg := make(protocol.Configuration, n)
 	for g := int64(0); g < sp.Enc.Total(); g++ {
 		cfg = sp.Enc.Decode(g, cfg)
-		res, err := netsim.RunOn(top, a, cfg, netsim.Options{MaxRounds: 1000, Seed: opt.seed()})
+		res, err := netsim.RunOnContext(context.Background(), top, a, cfg, netsim.Options{MaxRounds: 1000, Seed: opt.seed()})
 		if err != nil {
 			return err
 		}
@@ -132,7 +132,7 @@ func netsimStatisticalParity(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	h, err := chain.HittingTimes(markov.TargetFromSpace(sp))
+	h, err := chain.HittingTimesContext(context.Background(), markov.TargetFromSpace(sp))
 	if err != nil {
 		return err
 	}
@@ -142,7 +142,7 @@ func netsimStatisticalParity(w io.Writer, opt Options) error {
 	}
 	exact /= float64(len(h))
 
-	res, err := netsim.Trials(a, trials, netsim.Options{MaxRounds: 1_000_000, Seed: opt.seed()})
+	res, err := netsim.TrialsContext(context.Background(), a, trials, netsim.Options{MaxRounds: 1_000_000, Seed: opt.seed()})
 	if err != nil {
 		return err
 	}
@@ -195,7 +195,7 @@ func netsimLossSweep(w io.Writer, opt Options) error {
 		if p > 0 {
 			fs = []netsim.Fault{&netsim.Loss{P: p}}
 		}
-		res, err := netsim.Restabilization(a, trials, faults, netsim.Options{
+		res, err := netsim.RestabilizationContext(context.Background(), a, trials, faults, netsim.Options{
 			MaxRounds: budget, Seed: opt.seed(), Faults: fs,
 		})
 		if err != nil {

@@ -19,7 +19,6 @@ import (
 	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
 	"weakstab/internal/sim"
-	"weakstab/internal/spacecache"
 	"weakstab/internal/statespace"
 	"weakstab/internal/transformer"
 )
@@ -163,11 +162,10 @@ func runE12a(w io.Writer, opt Options) error {
 // same transformed token rings appear in E12a, E12c and E12d, so a cached
 // sweep explores each instance once across the whole suite.
 func meanHittingTime(a protocol.Algorithm, pol scheduler.Policy, opt Options) (float64, error) {
-	cache, err := spacecache.Open(opt.CacheDir)
+	cache, err := opt.openCache()
 	if err != nil {
 		return 0, err
 	}
-	cache.SetMmap(!opt.NoMmap)
 	ts, _, err := cache.BuildSpaceContext(context.Background(), a, pol, statespace.Options{MaxStates: statespace.IndexLimit, Workers: opt.Workers})
 	if err != nil {
 		return 0, err
@@ -178,7 +176,7 @@ func meanHittingTime(a protocol.Algorithm, pol scheduler.Policy, opt Options) (f
 		return 0, err
 	}
 	target := markov.TargetFromSpace(ts)
-	h, err := chain.HittingTimes(target)
+	h, err := chain.HittingTimesContext(context.Background(), target)
 	if err != nil {
 		return 0, err
 	}

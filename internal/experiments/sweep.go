@@ -2,9 +2,9 @@ package experiments
 
 // E19 demonstrates the incremental k-fault sweep: walking k = 0..kmax with
 // one ball enumeration and one closure exploration in total (each radius
-// extends the previous ball and subspace — checker.SweepKFaults), seeded
-// from the closed-form legitimate set (protocol.LegitEnumerator), so the
-// whole pipeline is strictly ball-sized: no pass over the index range of
+// extends the previous ball and subspace — checker.SweepKFaultsContext),
+// seeded from the closed-form legitimate set (protocol.LegitEnumerator), so
+// the whole pipeline is strictly ball-sized: no pass over the index range of
 // any kind. The experiment verifies every per-k verdict against the
 // from-scratch ball pipeline and counts the algorithm callbacks to prove
 // the cost claims, then reports the smallest k that breaks certain
@@ -12,6 +12,7 @@ package experiments
 // collapse at the first fault) and none for Dijkstra's ring with K ≥ N.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -20,7 +21,6 @@ import (
 	"weakstab/internal/algorithms/dijkstra"
 	"weakstab/internal/algorithms/tokenring"
 	"weakstab/internal/checker"
-	"weakstab/internal/core"
 	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
 	"weakstab/internal/statespace"
@@ -71,7 +71,7 @@ func runE19(w io.Writer, opt Options) error {
 	// else may call back at all — a full-range pass would show up as
 	// ~|space| extra calls.
 	counted := &sweepCountingAlg{LegitEnumerator: inner}
-	res, err := checker.SweepKFaults(checker.Sources{}, counted, pol, kmax, ssOpt, false)
+	res, err := checker.SweepKFaultsContext(context.Background(), checker.Sources{}, counted, pol, kmax, ssOpt, false)
 	if err != nil {
 		return err
 	}
@@ -118,7 +118,11 @@ func runE19(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	dres, err := core.SweepKFaults(dk, pol, dn, opt.coreOptions(), true)
+	cache, err := opt.openCache()
+	if err != nil {
+		return err
+	}
+	dres, err := checker.SweepKFaultsContext(context.Background(), checker.CacheSources(cache), dk, pol, dn, ssOpt, true)
 	if err != nil {
 		return err
 	}
@@ -130,9 +134,4 @@ func runE19(w io.Writer, opt Options) error {
 	fmt.Fprintln(w, "shape: the k+1 sweep extends the k ball and its subspace instead of restarting;")
 	fmt.Fprintln(w, "       closed-form L makes the pipeline strictly ball-sized")
 	return nil
-}
-
-// coreOptions lowers experiment options to core analysis options.
-func (o Options) coreOptions() core.Options {
-	return core.Options{Workers: o.Workers, CacheDir: o.CacheDir, NoMmap: o.NoMmap}
 }

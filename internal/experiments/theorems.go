@@ -369,7 +369,7 @@ func runE8(w io.Writer, opt Options) error {
 	// The same instance under the randomized central scheduler: prob-1
 	// convergence everywhere with finite expected times (Gouda fairness
 	// route via Theorem 7).
-	rep, err := core.AnalyzeWith(a, scheduler.CentralPolicy{}, core.Options{Workers: opt.Workers})
+	rep, err := core.AnalyzeWithContext(context.Background(), a, scheduler.CentralPolicy{}, statespace.Options{Workers: opt.Workers})
 	if err != nil {
 		return err
 	}
@@ -391,7 +391,7 @@ func runE9(w io.Writer, opt Options) error {
 	fmt.Fprintln(tw, "instance\tpolicy\tweak\tprob-1\tE[steps] mean\tmax")
 	for _, a := range algs {
 		for _, pol := range []scheduler.Policy{scheduler.CentralPolicy{}, scheduler.DistributedPolicy{}} {
-			rep, err := core.AnalyzeWith(a, pol, core.Options{Workers: opt.Workers})
+			rep, err := core.AnalyzeWithContext(context.Background(), a, pol, statespace.Options{Workers: opt.Workers})
 			if err != nil {
 				return err
 			}

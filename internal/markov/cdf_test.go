@@ -76,7 +76,7 @@ func TestHittingTimeCDFMonotone(t *testing.T) {
 	if cdf[200] < 0.999999 {
 		t.Fatalf("CDF should approach 1, got %g", cdf[200])
 	}
-	// Mean from the CDF (sum of survival) must match HittingTimes: 8.
+	// Mean from the CDF (sum of survival) must match HittingTimesContext: 8.
 	mean := 0.0
 	for i := 0; i+1 < len(cdf); i++ {
 		mean += 1 - cdf[i]

@@ -23,21 +23,18 @@
 package markov
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"runtime"
 	"sort"
 	"sync"
 
-	"weakstab/internal/protocol"
-	"weakstab/internal/scheduler"
 	"weakstab/internal/statespace"
 )
 
-// DefaultMaxStates caps the configuration space of Markov-only analyses
-// when callers pass 0 (the chain needs no successor-set bookkeeping, so it
-// historically affords a larger cap than the checker's default).
+// DefaultMaxStates is the configuration-space cap of Markov-only analyses
+// (the chain needs no successor-set bookkeeping, so it historically
+// affords a larger cap than the checker's default).
 const DefaultMaxStates = 1 << 22
 
 // Trans is a weighted transition to a state index.
@@ -263,27 +260,6 @@ func (c *Chain) ReachesWithProbOne(target []bool) []bool {
 		out[s] = target[s] || canFail[s] < 0
 	}
 	return out
-}
-
-// FromAlgorithm builds the chain of the algorithm under a randomized
-// scheduler drawing uniformly among pol's activation subsets. Terminal
-// configurations become absorbing states. maxStates caps the configuration
-// space (0 means 1<<22). It is a convenience wrapper over the shared
-// statespace engine; analyses that also need the checker should build one
-// statespace.Space and pass it to FromSpace instead of enumerating twice.
-func FromAlgorithm(a protocol.Algorithm, pol scheduler.Policy, maxStates int64) (*Chain, *protocol.Encoder, error) {
-	if maxStates <= 0 {
-		maxStates = DefaultMaxStates
-	}
-	sp, err := statespace.BuildContext(context.Background(), a, pol, statespace.Options{MaxStates: maxStates})
-	if err != nil {
-		return nil, nil, fmt.Errorf("markov: %w", err)
-	}
-	chain, err := FromSpace(sp)
-	if err != nil {
-		return nil, nil, err
-	}
-	return chain, sp.Enc, nil
 }
 
 // FromSpace builds the chain over an already-explored transition system's

@@ -59,7 +59,7 @@ func TestGeometricHittingTime(t *testing.T) {
 	if err := c.SetRow(0, []Trans{{To: 0, Prob: 0.5}, {To: 1, Prob: 0.5}}); err != nil {
 		t.Fatal(err)
 	}
-	h, err := c.HittingTimes([]bool{false, true})
+	h, err := c.HittingTimesContext(context.Background(), []bool{false, true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestGamblersRuin(t *testing.T) {
 		}
 	}
 	target := []bool{true, false, false, false, true}
-	h, err := c.HittingTimes(target)
+	h, err := c.HittingTimesContext(context.Background(), target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestReachesWithProbOne(t *testing.T) {
 	if can := c.CanReach(target); !can[0] || !can[1] || can[2] {
 		t.Fatalf("CanReach = %v, want [true true false]", can)
 	}
-	h, err := c.HittingTimes(target)
+	h, err := c.HittingTimesContext(context.Background(), target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestHittingTimesThroughTransientLoop(t *testing.T) {
 	if err := c.SetRow(1, []Trans{{To: 0, Prob: 0.5}, {To: 2, Prob: 0.5}}); err != nil {
 		t.Fatal(err)
 	}
-	h, err := c.HittingTimes([]bool{false, false, true})
+	h, err := c.HittingTimesContext(context.Background(), []bool{false, false, true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestGaussSeidelLargeChain(t *testing.T) {
 	}
 	target := make([]bool, n)
 	target[0] = true
-	h, err := c.HittingTimes(target)
+	h, err := c.HittingTimesContext(context.Background(), target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestFromAlgorithmSyncpairDistributedExactTimes(t *testing.T) {
 	// Under the distributed randomized scheduler: h(F,F) = 5, h(T,F) = 6.
 	a := mustSyncpair(t)
 	chain, target, enc := mustChain(t, a, scheduler.DistributedPolicy{})
-	h, err := chain.HittingTimes(target)
+	h, err := chain.HittingTimesContext(context.Background(), target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestFromAlgorithmSyncpairSynchronous(t *testing.T) {
 	// h(T,F) = 2.
 	a := mustSyncpair(t)
 	chain, target, enc := mustChain(t, a, scheduler.SynchronousPolicy{})
-	h, err := chain.HittingTimes(target)
+	h, err := chain.HittingTimesContext(context.Background(), target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestHermanExactExpectedTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	chain, target, enc := mustChain(t, a, scheduler.SynchronousPolicy{})
-	h, err := chain.HittingTimes(target)
+	h, err := chain.HittingTimesContext(context.Background(), target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestTargetFromSpaceAndSummarize(t *testing.T) {
 	if count != 1 {
 		t.Fatalf("syncpair has %d legitimate configurations, want 1", count)
 	}
-	h, err := chain.HittingTimes(target)
+	h, err := chain.HittingTimesContext(context.Background(), target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestTargetFromSpaceAndSummarize(t *testing.T) {
 
 func TestHittingTimesBadTargetLength(t *testing.T) {
 	c := New(2)
-	if _, err := c.HittingTimes([]bool{true}); err == nil {
+	if _, err := c.HittingTimesContext(context.Background(), []bool{true}); err == nil {
 		t.Fatal("mismatched target length accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package markov
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -44,11 +45,11 @@ func TestHittingTimesScratchReuse(t *testing.T) {
 	c, target := blockChain(t, 200)
 	c.SetWorkers(1) // single-threaded: one pooled scratch serves every block
 	// Warm up: seal the chain, cache the reverse CSR, size the scratch.
-	if _, err := c.HittingTimes(target); err != nil {
+	if _, err := c.HittingTimesContext(context.Background(), target); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		h, err := c.HittingTimes(target)
+		h, err := c.HittingTimesContext(context.Background(), target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +61,7 @@ func TestHittingTimesScratchReuse(t *testing.T) {
 	// arrays, block layout) is ~25 allocations; 100 leaves slack while
 	// still failing hard if block buffers (3/block × 200 blocks) return.
 	if allocs > 100 {
-		t.Fatalf("HittingTimes allocates %.0f objects per solve; scratch reuse regressed", allocs)
+		t.Fatalf("HittingTimesContext allocates %.0f objects per solve; scratch reuse regressed", allocs)
 	}
 }
 
@@ -70,12 +71,12 @@ func TestHittingTimesScratchReuse(t *testing.T) {
 func TestScratchReuseCorrectness(t *testing.T) {
 	c, target := blockChain(t, 50)
 	c.SetWorkers(1)
-	first, err := c.HittingTimes(target)
+	first, err := c.HittingTimesContext(context.Background(), target)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for run := 0; run < 3; run++ {
-		again, err := c.HittingTimes(target)
+		again, err := c.HittingTimesContext(context.Background(), target)
 		if err != nil {
 			t.Fatal(err)
 		}

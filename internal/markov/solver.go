@@ -55,9 +55,9 @@ const gsCheckEvery = 8
 // blockScratch is one worker's reusable block-solve buffers: the dense
 // elimination's augmented matrix and the Gauss–Seidel compaction arrays.
 // Buffers grow to the largest block a worker ever solves and are recycled
-// through blockScratchPool, so repeated HittingTimes calls over one space
-// (parameter sweeps like E12c's bias ablation) allocate no block buffers
-// in steady state.
+// through blockScratchPool, so repeated HittingTimesContext calls over one
+// space (parameter sweeps like E12c's bias ablation) allocate no block
+// buffers in steady state.
 type blockScratch struct {
 	flat []float64   // dense: augmented matrix backing store
 	rows [][]float64 // dense: row pointers into flat
@@ -96,21 +96,15 @@ func growI32(buf []int32, n int) []int32 {
 	return buf[:n]
 }
 
-// HittingTimes returns the expected number of steps to first reach the
-// target set from every state (0 on the target itself, +Inf where the
+// HittingTimesContext returns the expected number of steps to first reach
+// the target set from every state (0 on the target itself, +Inf where the
 // target is not hit with probability 1), by SCC condensation of the
 // transient subgraph. The answer is exact (up to floating point) for
 // acyclic condensations and dense blocks, and iterated to a confirmed
-// residual inside large strongly connected blocks.
-func (c *Chain) HittingTimes(target []bool) ([]float64, error) {
-	return c.HittingTimesContext(context.Background(), target)
-}
-
-// HittingTimesContext is HittingTimes with cooperative cancellation: ctx
-// is checked at block-schedule granularity (before every SCC block solve,
-// on both the sequential and the Kahn-pooled path), so a cancelled solve
-// returns an error wrapping ctx.Err() without finishing the condensation
-// walk.
+// residual inside large strongly connected blocks. ctx is checked at
+// block-schedule granularity (before every SCC block solve, on both the
+// sequential and the Kahn-pooled path), so a cancelled solve returns an
+// error wrapping ctx.Err() without finishing the condensation walk.
 func (c *Chain) HittingTimesContext(ctx context.Context, target []bool) ([]float64, error) {
 	c.seal()
 	if len(target) != c.n {

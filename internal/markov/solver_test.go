@@ -93,13 +93,13 @@ func TestHittingTimesMatchesDenseOracle(t *testing.T) {
 			t.Fatalf("%s: oracle: %v", label, err)
 		}
 		chain.SetWorkers(1)
-		serial, err := chain.HittingTimes(target)
+		serial, err := chain.HittingTimesContext(context.Background(), target)
 		if err != nil {
 			t.Fatalf("%s: serial: %v", label, err)
 		}
 		assertHittingTimesMatch(t, label+" (serial)", serial, want)
 		chain.SetWorkers(4)
-		parallel, err := chain.HittingTimes(target)
+		parallel, err := chain.HittingTimesContext(context.Background(), target)
 		if err != nil {
 			t.Fatalf("%s: parallel: %v", label, err)
 		}
@@ -139,7 +139,7 @@ func TestHittingTimesForcedGaussSeidel(t *testing.T) {
 				t.Fatalf("%s: oracle: %v", label, err)
 			}
 			chain.SetWorkers(4)
-			got, err := chain.HittingTimes(target)
+			got, err := chain.HittingTimesContext(context.Background(), target)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -166,7 +166,7 @@ func TestHittingTimesDivergentStates(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := []bool{false, false, false, true, false}
-	h, err := c.HittingTimes(target)
+	h, err := c.HittingTimesContext(context.Background(), target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestHittingTimesLargeDAGChain(t *testing.T) {
 	}
 	target := make([]bool, n)
 	target[0] = true
-	h, err := c.HittingTimes(target)
+	h, err := c.HittingTimesContext(context.Background(), target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestHittingTimesLargeSCCBlock(t *testing.T) {
 	target[m] = true
 	for _, workers := range []int{1, 4} {
 		c.SetWorkers(workers)
-		h, err := c.HittingTimes(target)
+		h, err := c.HittingTimesContext(context.Background(), target)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -259,7 +259,7 @@ func TestConcurrentAnalysesOnBuilderChain(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			h, err := c.HittingTimes(target)
+			h, err := c.HittingTimesContext(context.Background(), target)
 			if err != nil {
 				errs[g] = err
 				return
@@ -309,7 +309,7 @@ func TestHittingTimesAfterSetRowOnSpaceChain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	h, err := chain.HittingTimes(target)
+	h, err := chain.HittingTimesContext(context.Background(), target)
 	if err != nil {
 		t.Fatal(err)
 	}

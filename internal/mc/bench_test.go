@@ -30,7 +30,7 @@ func BenchmarkMCWalk(b *testing.B) {
 	b.ResetTimer()
 	var steps int64
 	for i := 0; i < b.N; i++ {
-		res, err := e.Run(Options{Trials: 100_000, Seed: int64(i)})
+		res, err := e.RunContext(context.Background(), Options{Trials: 100_000, Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func BenchmarkMCWalkSingleWorker(b *testing.B) {
 	b.ResetTimer()
 	var steps int64
 	for i := 0; i < b.N; i++ {
-		res, err := e.Run(Options{Trials: 100_000, Seed: int64(i), Workers: 1})
+		res, err := e.RunContext(context.Background(), Options{Trials: 100_000, Seed: int64(i), Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

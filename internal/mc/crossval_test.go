@@ -17,7 +17,7 @@ import (
 
 // The cross-validation property suite: on instances small enough for the
 // exact Markov solve, the Monte Carlo estimator must agree with it —
-// mean hitting time within 4 standard errors of markov.HittingTimes
+// mean hitting time within 4 standard errors of markov.HittingTimesContext
 // under the matching uniform non-target start, and the empirical CDF
 // within DKW bounds of markov.HittingTimeCDF from a fixed start — and
 // every MC output must be bit-identical across worker counts.
@@ -61,7 +61,7 @@ func buildInstance(t *testing.T, ins instance) (*statespace.Space, *markov.Chain
 			t.Fatalf("state %d does not reach the target with probability 1", s)
 		}
 	}
-	h, err := chain.HittingTimes(target)
+	h, err := chain.HittingTimesContext(context.Background(), target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestMCMeanMatchesExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := e.Run(Options{Trials: trials, Seed: 1009})
+			res, err := e.RunContext(context.Background(), Options{Trials: trials, Seed: 1009})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,7 +121,7 @@ func TestMCCDFWithinDKW(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := e.Run(Options{Trials: trials, Seed: 1013, From: &from})
+			res, err := e.RunContext(context.Background(), Options{Trials: trials, Seed: 1013, From: &from})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,7 +158,7 @@ func TestMCWorkerIdentityOnSpaces(t *testing.T) {
 			}
 			var base *Result
 			for _, workers := range []int{1, 5, 13} {
-				res, err := e.Run(Options{Trials: 4000, Seed: 77, Workers: workers, Batch: 256})
+				res, err := e.RunContext(context.Background(), Options{Trials: 4000, Seed: 77, Workers: workers, Batch: 256})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -23,8 +23,8 @@
 //     contiguous prefix of batches, so the scheduling of the workers
 //     that computed them cannot change where the run stops.
 //
-// Cross-validation against the exact engine (markov.HittingTimes /
-// HittingTimeCDF) on instances where both run is pinned by the property
+// Cross-validation against the exact engine (markov.Chain's
+// HittingTimesContext / HittingTimeCDF) on instances where both run is pinned by the property
 // suite in crossval_test.go.
 package mc
 
@@ -77,7 +77,7 @@ type Options struct {
 	// From, when non-nil, starts every walker at the given state index.
 	// When nil, each walker starts at a uniformly random non-target state
 	// — the start distribution whose expected hitting time equals the
-	// mean of markov.HittingTimes over the non-target states.
+	// mean of markov.Chain.HittingTimesContext over the non-target states.
 	From *int
 	// TargetCI, when positive, stops the run early at the first batch
 	// boundary where the normal-theory 95% confidence half-width of the
@@ -197,7 +197,7 @@ type Estimator struct {
 // for the given target set (typically markov.TargetFromSpace(ts)). Rows
 // are validated like markov.FromSpace: positive probabilities summing to
 // 1 within 1e-9. A zero-copy mapped system is pinned for the duration of
-// the precompute; Run pins it again for the walk.
+// the precompute; RunContext pins it again for the walk.
 func New(ts System, target []bool) (*Estimator, error) {
 	n := ts.NumStates()
 	if len(target) != n {
@@ -282,13 +282,8 @@ type batchOut struct {
 	walked    int64
 }
 
-// Run estimates with the given options.
-func (e *Estimator) Run(opt Options) (*Result, error) {
-	return e.RunContext(context.Background(), opt)
-}
-
-// RunContext is Run with cooperative cancellation: ctx is checked at
-// batch boundaries, so a cancelled run stops claiming batches and
+// RunContext estimates with the given options. ctx is checked at batch
+// boundaries, so a cancelled run stops claiming batches and
 // returns an error wrapping ctx.Err() in bounded time, producing no
 // result. A successful run is unaffected by ctx.
 func (e *Estimator) RunContext(ctx context.Context, opt Options) (*Result, error) {

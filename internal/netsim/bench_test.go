@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -39,7 +40,7 @@ func BenchmarkNetSimRounds(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := RunOn(top, a, init, opts)
+				res, err := RunOnContext(context.Background(), top, a, init, opts)
 				if err != nil {
 					b.Fatal(err)
 				}

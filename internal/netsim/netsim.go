@@ -21,7 +21,7 @@
 // step-for-step the synchronous daemon: round r delivers the states
 // published after round r-1, so every guard reads exactly the pre-step
 // configuration. That equivalence is the validation hook back to the exact
-// engine (markov.HittingTimes); see the parity tests and experiment E20.
+// engine (markov.Chain.HittingTimesContext); see the parity tests and experiment E20.
 package netsim
 
 import (
@@ -99,7 +99,7 @@ type Options struct {
 	// MaxRounds bounds the run; 0 means 100_000.
 	MaxRounds int
 	// Seed drives every random decision (faults, probabilistic outcomes,
-	// random initial configurations in Trials). Runs are bit-identical
+	// random initial configurations in TrialsContext). Runs are bit-identical
 	// given equal (topology, faults, seed), regardless of Workers/Shards.
 	Seed int64
 	// Faults is the network fault stack, applied to each publication in
@@ -122,8 +122,8 @@ type Options struct {
 	// to obs.Default(); both nil disables instrumentation). Observability
 	// is a side channel only: results are bit-identical with it on or off.
 	Obs *obs.Observer
-	// Trial labels this run's progress events within a batch (Trials /
-	// Restabilization set it); it does not affect the simulation.
+	// Trial labels this run's progress events within a batch
+	// (TrialsContext / RestabilizationFromContext set it); it does not affect the simulation.
 	Trial int
 }
 
@@ -235,31 +235,12 @@ type engine struct {
 	shardOf []int32
 }
 
-// Run executes a from init over the configured network until a legitimacy
-// check succeeds or the round budget is exhausted.
-func Run(a protocol.Algorithm, init protocol.Configuration, opts Options) (Result, error) {
-	return RunContext(context.Background(), a, init, opts)
-}
-
-// RunContext is Run with cooperative cancellation: ctx is checked at
-// legitimacy-check round boundaries (every Options.CheckEvery rounds), so
-// a cancelled simulation returns an error wrapping ctx.Err() within one
-// check interval.
-func RunContext(ctx context.Context, a protocol.Algorithm, init protocol.Configuration, opts Options) (Result, error) {
-	t, err := NewTopology(a)
-	if err != nil {
-		return Result{}, err
-	}
-	return RunOnContext(ctx, t, a, init, opts)
-}
-
-// RunOn is Run with a prebuilt Topology (amortizing the precomputation
-// across the runs of a trial batch).
-func RunOn(t *Topology, a protocol.Algorithm, init protocol.Configuration, opts Options) (Result, error) {
-	return RunOnContext(context.Background(), t, a, init, opts)
-}
-
-// RunOnContext is RunOn with RunContext's cancellation semantics.
+// RunOnContext executes a from init over the configured network, on a
+// prebuilt Topology (NewTopology, amortizing the precomputation across the
+// runs of a trial batch), until a legitimacy check succeeds or the round
+// budget is exhausted. ctx is checked at legitimacy-check round boundaries
+// (every Options.CheckEvery rounds), so a cancelled simulation returns an
+// error wrapping ctx.Err() within one check interval.
 func RunOnContext(ctx context.Context, t *Topology, a protocol.Algorithm, init protocol.Configuration, opts Options) (Result, error) {
 	if len(init) != t.n {
 		return Result{}, fmt.Errorf("netsim: initial configuration has %d states, topology %d", len(init), t.n)

@@ -29,7 +29,7 @@ func syncHittingTimes(t *testing.T, a protocol.Algorithm) (*statespace.Space, []
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := chain.HittingTimes(markov.TargetFromSpace(sp))
+	h, err := chain.HittingTimesContext(context.Background(), markov.TargetFromSpace(sp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestSyncParityDijkstra(t *testing.T) {
 		if math.IsInf(h[g], 1) {
 			t.Fatalf("state %d: dijkstra must converge under the synchronous daemon", g)
 		}
-		res, err := RunOn(top, a, cfg, Options{MaxRounds: 500, Seed: 1})
+		res, err := RunOnContext(context.Background(), top, a, cfg, Options{MaxRounds: 500, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestSyncParityTokenRingDivergence(t *testing.T) {
 	cfg := make(protocol.Configuration, 6)
 	for g := int64(0); g < sp.Enc.Total(); g += 11 { // subsample: ~373 states
 		cfg = sp.Enc.Decode(g, cfg)
-		res, err := RunOn(top, a, cfg, Options{MaxRounds: 300, Seed: 1})
+		res, err := RunOnContext(context.Background(), top, a, cfg, Options{MaxRounds: 300, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func TestSyncParityHerman(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := chain.HittingTimes(markov.TargetFromSpace(sp))
+	h, err := chain.HittingTimesContext(context.Background(), markov.TargetFromSpace(sp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestSyncParityHerman(t *testing.T) {
 	exact /= float64(len(h))
 
 	const trials = 600
-	res, err := Trials(a, trials, Options{MaxRounds: 100_000, Seed: 42})
+	res, err := TrialsContext(context.Background(), a, trials, Options{MaxRounds: 100_000, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,6 +160,15 @@ func TestSyncParityHerman(t *testing.T) {
 		t.Fatalf("empirical mean %g vs exact uniform-start mean %g: |diff| %g > 4·SE %g",
 			res.Summary.Mean, exact, diff, 4*se)
 	}
+}
+
+// runFresh runs a on a freshly built topology, as a standalone run would.
+func runFresh(a protocol.Algorithm, init protocol.Configuration, opts Options) (Result, error) {
+	top, err := NewTopology(a)
+	if err != nil {
+		return Result{}, err
+	}
+	return RunOnContext(context.Background(), top, a, init, opts)
 }
 
 // faultStack builds a fresh full fault stack (counters start at zero) so
@@ -198,7 +207,7 @@ func TestDeterminismAcrossSharding(t *testing.T) {
 	}
 	run := func(workers, shards int) outcome {
 		faults := faultStack()
-		res, err := Run(a, init, Options{
+		res, err := runFresh(a, init, Options{
 			MaxRounds: 60, Seed: 99, Faults: faults,
 			Workers: workers, Shards: shards, Record: true,
 		})
@@ -261,7 +270,7 @@ func TestFaultyNetworkConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Restabilization(a, 8, 16, Options{
+	res, err := RestabilizationContext(context.Background(), a, 8, 16, Options{
 		MaxRounds: 3000, Seed: 5,
 		Faults: []Fault{
 			&Latency{D: Uniform{Lo: 1, Hi: 2}},
@@ -298,12 +307,12 @@ func TestTrialsReplayable(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{MaxRounds: 2000, Seed: 13, Faults: []Fault{&Loss{P: 0.15}}}
-	first, err := Trials(a, 10, opts)
+	first, err := TrialsContext(context.Background(), a, 10, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts2 := Options{MaxRounds: 2000, Seed: 13, Faults: []Fault{&Loss{P: 0.15}}}
-	second, err := Trials(a, 10, opts2)
+	second, err := TrialsContext(context.Background(), a, 10, opts2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +327,7 @@ func TestTrialsReplayable(t *testing.T) {
 	// Replay trial 3 in isolation.
 	seed3 := sim.TrialSeed(13, 3)
 	init := protocol.RandomConfiguration(a, sim.TrialRNG(13, 3))
-	res, err := Run(a, init, Options{MaxRounds: 2000, Seed: seed3, Faults: []Fault{&Loss{P: 0.15}}})
+	res, err := runFresh(a, init, Options{MaxRounds: 2000, Seed: seed3, Faults: []Fault{&Loss{P: 0.15}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,15 +347,15 @@ func TestValidationErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(a, make(protocol.Configuration, 3), Options{}); err == nil {
+	if _, err := runFresh(a, make(protocol.Configuration, 3), Options{}); err == nil {
 		t.Fatal("short initial configuration accepted")
 	}
 	bad := make(protocol.Configuration, 8)
 	bad[0] = 99
-	if _, err := Run(a, bad, Options{}); err == nil {
+	if _, err := runFresh(a, bad, Options{}); err == nil {
 		t.Fatal("out-of-domain initial state accepted")
 	}
-	if _, err := Run(a, make(protocol.Configuration, 8), Options{Faults: []Fault{badFault{}}}); err == nil {
+	if _, err := runFresh(a, make(protocol.Configuration, 8), Options{Faults: []Fault{badFault{}}}); err == nil {
 		t.Fatal("fault implementing neither role accepted")
 	}
 	// Herman requires odd rings; restabilization on an even one must fail
@@ -356,7 +365,7 @@ func TestValidationErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Restabilization(abl, 1, 1, Options{}); err == nil {
+	if _, err := RestabilizationContext(context.Background(), abl, 1, 1, Options{}); err == nil {
 		t.Fatal("empty legitimate set accepted")
 	}
 }
@@ -382,7 +391,7 @@ func TestLargeRingRestabilization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Restabilization(a, 3, 1000, Options{
+	res, err := RestabilizationContext(context.Background(), a, 3, 1000, Options{
 		MaxRounds: 2000, Seed: 2026, CheckEvery: 2,
 		Faults: []Fault{&Loss{P: 0.05}},
 	})

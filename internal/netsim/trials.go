@@ -61,18 +61,13 @@ func observeTrial(o *obs.Observer, trial, of int, seed int64, res Result, faults
 	}
 }
 
-// Trials runs `trials` executions from uniformly random initial
+// TrialsContext runs `trials` executions from uniformly random initial
 // configurations over the configured network. Trial i derives its own
 // seed from (opts.Seed, i) — sim.TrialSeed — so any single trial is
-// replayable in isolation and results never depend on batch order.
-func Trials(a protocol.Algorithm, trials int, opts Options) (TrialResult, error) {
-	return TrialsContext(context.Background(), a, trials, opts)
-}
-
-// TrialsContext is Trials with cooperative cancellation: ctx is checked at
-// trial boundaries (and within each run at its legitimacy-check rounds),
-// so a cancelled batch returns an error wrapping ctx.Err() without
-// finishing the remaining trials.
+// replayable in isolation and results never depend on batch order. ctx is
+// checked at trial boundaries (and within each run at its legitimacy-check
+// rounds), so a cancelled batch returns an error wrapping ctx.Err()
+// without finishing the remaining trials.
 func TrialsContext(ctx context.Context, a protocol.Algorithm, trials int, opts Options) (TrialResult, error) {
 	t, err := NewTopology(a)
 	if err != nil {
@@ -96,22 +91,17 @@ func TrialsContext(ctx context.Context, a protocol.Algorithm, trials int, opts O
 	return out, nil
 }
 
-// Restabilization measures recovery under an unsupportive network: every
-// trial starts from a legitimate configuration with k process states
+// RestabilizationContext measures recovery under an unsupportive network:
+// every trial starts from a legitimate configuration with k process states
 // corrupted uniformly at random (the paper's transient-fault model) and
 // runs until the system is legitimate again. The base legitimate
 // configuration is the first one yielded by the algorithm's closed-form
-// LegitEnumerator; algorithms without one must use RestabilizationFrom.
-func Restabilization(a protocol.Algorithm, trials, k int, opts Options) (TrialResult, error) {
-	return RestabilizationContext(context.Background(), a, trials, k, opts)
-}
-
-// RestabilizationContext is Restabilization with TrialsContext's
-// trial-boundary cancellation semantics.
+// LegitEnumerator; algorithms without one must use
+// RestabilizationFromContext. Cancellation follows TrialsContext.
 func RestabilizationContext(ctx context.Context, a protocol.Algorithm, trials, k int, opts Options) (TrialResult, error) {
 	le, ok := a.(protocol.LegitEnumerator)
 	if !ok {
-		return TrialResult{}, fmt.Errorf("netsim: %s has no LegitEnumerator; use RestabilizationFrom with an explicit legitimate configuration", a.Name())
+		return TrialResult{}, fmt.Errorf("netsim: %s has no LegitEnumerator; use RestabilizationFromContext with an explicit legitimate configuration", a.Name())
 	}
 	var legit protocol.Configuration
 	le.EnumerateLegitimate(func(cfg protocol.Configuration) bool {
@@ -124,14 +114,8 @@ func RestabilizationContext(ctx context.Context, a protocol.Algorithm, trials, k
 	return RestabilizationFromContext(ctx, a, legit, trials, k, opts)
 }
 
-// RestabilizationFrom is Restabilization from an explicit legitimate
-// configuration.
-func RestabilizationFrom(a protocol.Algorithm, legit protocol.Configuration, trials, k int, opts Options) (TrialResult, error) {
-	return RestabilizationFromContext(context.Background(), a, legit, trials, k, opts)
-}
-
-// RestabilizationFromContext is RestabilizationFrom with TrialsContext's
-// trial-boundary cancellation semantics.
+// RestabilizationFromContext is RestabilizationContext from an explicit
+// legitimate configuration.
 func RestabilizationFromContext(ctx context.Context, a protocol.Algorithm, legit protocol.Configuration, trials, k int, opts Options) (TrialResult, error) {
 	if !a.Legitimate(legit) {
 		return TrialResult{}, fmt.Errorf("netsim: base configuration %v is not legitimate", legit)

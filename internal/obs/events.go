@@ -45,7 +45,7 @@ type BuildProgress struct {
 }
 
 // SolverBlock reports one iteratively solved strongly connected block of
-// the hitting-time condensation (markov.HittingTimes): event
+// the hitting-time condensation (markov.Chain.HittingTimesContext): event
 // "solver.block". Singleton and dense blocks are aggregated into
 // registry counters instead — they can number in the hundreds of
 // thousands.
@@ -61,7 +61,7 @@ type SolverBlock struct {
 }
 
 // SweepRadius reports one sealed radius of an incremental k-fault sweep
-// (checker.SweepKFaults): event "sweep.radius".
+// (checker.SweepKFaultsContext): event "sweep.radius".
 type SweepRadius struct {
 	K        int  `json:"k"`
 	Ball     int  `json:"ball"`
@@ -82,7 +82,7 @@ type CacheEvent struct {
 	Bytes int64  `json:"bytes,omitempty"`
 }
 
-// NetsimRound reports message-passing simulation progress (netsim.RunOn):
+// NetsimRound reports message-passing simulation progress (netsim.RunOnContext):
 // event "netsim.round", emitted at legitimacy-check rounds whose index
 // is a power of two (so long diverging runs log O(log rounds) events).
 type NetsimRound struct {
@@ -92,8 +92,8 @@ type NetsimRound struct {
 	Delivered int64 `json:"delivered"`
 }
 
-// NetsimTrial reports one completed trial of a batch (netsim.Trials /
-// Restabilization): event "netsim.trial".
+// NetsimTrial reports one completed trial of a batch (netsim.TrialsContext
+// / RestabilizationFromContext): event "netsim.trial".
 type NetsimTrial struct {
 	Trial int `json:"trial"`
 	// Of is the batch size, so progress renderers can compute an ETA.

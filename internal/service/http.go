@@ -1,6 +1,8 @@
 // The HTTP surface of the manager — stabserve's API:
 //
 //	POST /jobs              submit a Request; 202 with the job status
+//	                        (413 on a body over 1 MiB; workers is
+//	                        clamped to the CPU count)
 //	GET  /jobs              list every job's status
 //	GET  /jobs/{id}         one job's status
 //	GET  /jobs/{id}/result  the finished result document (the schema
@@ -21,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strconv"
 
 	"weakstab/internal/obs"
@@ -90,14 +93,26 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// maxRequestBytes bounds a POST /jobs body; a Request is a few hundred
+// bytes, so anything near this is not one.
+const maxRequestBytes = 1 << 20
+
+// handleSubmit decodes a size-bounded Request, clamps its worker count to
+// the machine (a client must not size the daemon's pools), and submits it.
 func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("decoding request: %w", err))
 		return
 	}
+	req.Workers = min(req.Workers, runtime.NumCPU())
 	j, deduped, err := m.Submit(req)
 	if err != nil {
 		code := http.StatusBadRequest

@@ -9,9 +9,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -20,6 +22,7 @@ import (
 	"weakstab/internal/obs"
 	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
+	"weakstab/internal/statespace"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Manager, *httptest.Server) {
@@ -252,5 +255,54 @@ func TestHTTPErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown-field submit = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestHTTPOversizedBodyRejected pins the submit body bound: a body past
+// maxRequestBytes is answered 413 with the JSON error shape before any
+// job exists, and the daemon keeps serving — the next job succeeds.
+func TestHTTPOversizedBodyRejected(t *testing.T) {
+	mgr, srv := newTestServer(t, Config{FeedDepth: 16})
+	body := `{"alg":"` + strings.Repeat("x", maxRequestBytes+1) + `"}`
+	resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit = %d, want 413: %.200s", resp.StatusCode, b)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(b, &e); err != nil || e.Error == "" {
+		t.Fatalf("413 body %q is not the JSON error shape (%v)", b, err)
+	}
+	if n := len(mgr.Jobs()); n != 0 {
+		t.Fatalf("oversized submit created %d jobs", n)
+	}
+
+	st := postJob(t, srv, `{"alg":"tokenring","n":5}`)
+	waitDone(t, mgr, st.ID)
+	if code, b, _ := get(t, srv.URL+"/jobs/"+st.ID+"/result"); code != http.StatusOK {
+		t.Fatalf("job after the oversized submit: GET result = %d: %s", code, b)
+	}
+}
+
+// TestHTTPWorkersClamped pins the worker clamp on the submit path: a
+// request for more workers than the machine has runs its pools on at most
+// NumCPU workers (the explored space's resolved pool size, seen through
+// Deps.Inspect).
+func TestHTTPWorkersClamped(t *testing.T) {
+	pool := make(chan int, 1)
+	mgr, srv := newTestServer(t, Config{FeedDepth: 16, Deps: Deps{
+		Inspect: func(_ *Response, sp *statespace.Space) { pool <- sp.PoolWorkers() },
+	}})
+	want := runtime.NumCPU()
+	st := postJob(t, srv, fmt.Sprintf(`{"alg":"tokenring","n":6,"workers":%d}`, want+3))
+	waitDone(t, mgr, st.ID)
+	if got := <-pool; got > want {
+		t.Fatalf("request for %d workers ran a %d-worker pool, want <= NumCPU = %d", want+3, got, want)
 	}
 }

@@ -83,6 +83,9 @@ type Job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	done   chan struct{}
+	// workers is the submitting request's Workers: an execution detail
+	// the identity drops, handed back to Execute.
+	workers int
 }
 
 // Done returns a channel closed when the job reaches a terminal state.
@@ -202,6 +205,7 @@ func (m *Manager) Submit(req Request) (job *Job, deduped bool, err error) {
 
 	j := m.newJobLocked(key, id)
 	j.source = "run"
+	j.workers = req.Workers
 	timeout := m.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
@@ -350,7 +354,9 @@ func (m *Manager) worker() {
 			continue
 		}
 		m.gauge("service.jobs.running").Set(m.running())
-		resp, err := Execute(j.ctx, j.Request, m.jobDeps(j))
+		req := j.Request
+		req.Workers = j.workers
+		resp, err := Execute(j.ctx, req, m.jobDeps(j))
 		m.finish(j, resp, err)
 		m.gauge("service.jobs.running").Set(m.running())
 	}

@@ -19,6 +19,7 @@ import (
 	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
 	"weakstab/internal/spacecache"
+	"weakstab/internal/statespace"
 )
 
 // countingAlg counts the calls exploration makes into the algorithm (the
@@ -472,5 +473,24 @@ func TestCancelQueuedJob(t *testing.T) {
 	// never called.
 	if l, e := cb.legit.Load(), cb.enabled.Load(); l != 0 || e != 0 {
 		t.Errorf("canceled queued job explored anyway (legit=%d enabled=%d), want 0", l, e)
+	}
+}
+
+// TestRequestWorkersReachPool pins that a request's Workers, which the job
+// identity drops, still sizes the job's exploration pool: the explored
+// space's resolved pool matches the request, not the all-CPUs default.
+func TestRequestWorkersReachPool(t *testing.T) {
+	pool := make(chan int, 1)
+	m := NewManager(Config{Workers: 1, Deps: Deps{
+		Inspect: func(_ *Response, sp *statespace.Space) { pool <- sp.PoolWorkers() },
+	}})
+	defer m.Shutdown(context.Background())
+	for _, workers := range []int{1, 3} {
+		if _, err := m.Do(context.Background(), Request{Alg: "tokenring", N: 5 + workers, Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		if got := <-pool; got != workers {
+			t.Fatalf("request for %d workers explored on a %d-worker pool", workers, got)
+		}
 	}
 }

@@ -114,7 +114,7 @@ func TestTrialsRandomInitial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := chain.HittingTimes(markov.TargetFromSpace(ts))
+	h, err := chain.HittingTimesContext(context.Background(), markov.TargetFromSpace(ts))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func TestBallRoundTrip(t *testing.T) {
 	}
 	cap := statespace.StateCap(0)
 	for k := 0; k <= 2; k++ {
-		globals, dist, err := checker.FaultBall(a, k, 0, 0)
+		globals, dist, err := checker.FaultBallContext(context.Background(), a, k, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func TestBallStaleKeyMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	globals, dist, err := checker.FaultBall(a, 1, 0, 0)
+	globals, dist, err := checker.FaultBallContext(context.Background(), a, 1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestBallCorruptionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	globals, dist, err := checker.FaultBall(a, 1, 0, 0)
+	globals, dist, err := checker.FaultBallContext(context.Background(), a, 1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestBallCapAndNilSafety(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	globals, dist, err := checker.FaultBall(a, 1, 0, 0)
+	globals, dist, err := checker.FaultBallContext(context.Background(), a, 1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -176,7 +176,7 @@ func TestTransformedSyncpairExactHittingTimes(t *testing.T) {
 	// h(F,F) = 8 and h(T,F) = h(F,T) = 10.
 	trans := New(mustSyncpair(t))
 	chain, target, enc := mustMarkov(t, trans, scheduler.SynchronousPolicy{})
-	h, err := chain.HittingTimes(target)
+	h, err := chain.HittingTimesContext(context.Background(), target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestCoinBiasMonotonicity(t *testing.T) {
 			t.Fatal(err)
 		}
 		chain, target, enc := mustMarkov(t, trans, scheduler.SynchronousPolicy{})
-		h, err := chain.HittingTimes(target)
+		h, err := chain.HittingTimesContext(context.Background(), target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,14 +228,14 @@ func TestBisimulationExplicitVsProjected(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			proj := New(tc.inner)
 			projChain, projTarget, projEnc := mustMarkov(t, proj, scheduler.SynchronousPolicy{})
-			hProj, err := projChain.HittingTimes(projTarget)
+			hProj, err := projChain.HittingTimesContext(context.Background(), projTarget)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			expl := NewExplicit(tc.inner)
 			explChain, explTarget, explEnc := mustMarkov(t, expl, scheduler.SynchronousPolicy{})
-			hExpl, err := explChain.HittingTimes(explTarget)
+			hExpl, err := explChain.HittingTimesContext(context.Background(), explTarget)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -316,7 +316,7 @@ func TestTransformedFrontierSubspaceParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullH, err := fullChain.HittingTimes(markov.TargetFromSpace(full))
+	fullH, err := fullChain.HittingTimesContext(context.Background(), markov.TargetFromSpace(full))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestTransformedFrontierSubspaceParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := chain.HittingTimes(markov.TargetFromSpace(ss))
+	h, err := chain.HittingTimesContext(context.Background(), markov.TargetFromSpace(ss))
 	if err != nil {
 		t.Fatal(err)
 	}
